@@ -5,7 +5,7 @@
 # Usage: ./run_checks.sh [--sanitize-only | --tsan-only | --validation-only
 #                         | --coverage | --tidy | --live-smoke | --chaos-smoke
 #                         | --bench-smoke | --cell-smoke | --alloc-smoke
-#                         | --analysis-smoke]
+#                         | --analysis-smoke | --fresh-clone]
 #
 # Test tiers are selected by ctest labels (see docs/validation.md):
 #   * default passes run everything except the `slow` label (the full-grid
@@ -42,6 +42,11 @@
 #     validity and the no-countermeasure I-frame recall floor (>= 0.9).
 #     Both the plain and the ASan+UBSan builds, each under a hard
 #     timeout.
+#   * --fresh-clone clones the committed tree (git clone of this working
+#     copy) into a temporary directory and builds and runs the non-slow
+#     tests there, so a fixture that exists only as an untracked or
+#     ignored file in the working copy cannot make the suite pass.
+#     Uncommitted changes are not part of the clone.
 #
 # Every build configures with -DTHRIFTYVID_WERROR=ON: the tree is expected
 # to be warning-clean under -Wall -Wextra, and promoting warnings to errors
@@ -61,15 +66,34 @@ jobs=$(nproc 2>/dev/null || echo 4)
 mode="${1:-}"
 
 case "${mode}" in
-  ""|--sanitize-only|--tsan-only|--validation-only|--coverage|--tidy|--live-smoke|--chaos-smoke|--bench-smoke|--cell-smoke|--alloc-smoke|--analysis-smoke) ;;
+  ""|--sanitize-only|--tsan-only|--validation-only|--coverage|--tidy|--live-smoke|--chaos-smoke|--bench-smoke|--cell-smoke|--alloc-smoke|--analysis-smoke|--fresh-clone) ;;
   *)
     echo "usage: $0 [--sanitize-only | --tsan-only | --validation-only |" \
          "--coverage | --tidy | --live-smoke | --chaos-smoke |" \
          "--bench-smoke | --cell-smoke | --alloc-smoke |" \
-         "--analysis-smoke]" >&2
+         "--analysis-smoke | --fresh-clone]" >&2
     exit 2
     ;;
 esac
+
+if [[ "${mode}" == "--fresh-clone" ]]; then
+  # Everything the tests read must be tracked: build and test a clone of
+  # HEAD, which carries no untracked or ignored file of this working copy.
+  if [[ -n "$(git status --porcelain --untracked-files=no)" ]]; then
+    echo "=== fresh clone: note: uncommitted changes are not tested ==="
+  fi
+  clone_root=$(mktemp -d)
+  trap 'rm -rf "${clone_root}"' EXIT
+  git clone --quiet . "${clone_root}/repo"
+  echo "=== fresh clone: plain build + tests in ${clone_root}/repo ==="
+  cmake -B "${clone_root}/repo/build" -S "${clone_root}/repo" \
+        -DCMAKE_BUILD_TYPE=Release -DTHRIFTYVID_WERROR=ON
+  cmake --build "${clone_root}/repo/build" -j "${jobs}"
+  ctest --test-dir "${clone_root}/repo/build" --output-on-failure \
+        -j "${jobs}" -LE slow
+  echo "=== fresh clone passed ==="
+  exit 0
+fi
 
 if [[ "${mode}" == "--bench-smoke" ]]; then
   # The bench must complete quickly and emit schema-valid JSON; `timeout`

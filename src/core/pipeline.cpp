@@ -129,9 +129,10 @@ TransferResult simulate_transfer(const PipelineConfig& config,
     double now = t.service_start + t.encryption_s;
     for (;;) {
       ++attempts;
-      // T_b (eqs. 6-7): waits are folded into `now` and `backoff_total`
-      // per draw to keep the accumulation order byte-stable.
-      (void)service.backoff(i, &now, &backoff_total, rng);
+      // T_b (eqs. 6-7).
+      const double t_b = service.backoff(i, now, rng);
+      backoff_total += t_b;
+      now += t_b;
       // T_t (eq. 16).
       const double tx = service.transmit(i, tx_mean, now, rng);
       tx_total += tx;

@@ -7,8 +7,8 @@
 // sparse phase-2 arrivals.
 // Consumer/server: FIFO; per packet the service is encryption time (if the
 // policy selected it), MAC backoff (geometric collisions, exponential
-// waits — eq. 6), and transmission time — exactly the T = T_e + T_b + T_t
-// of eq. (3).
+// waits — eqs. 6-7, drawn in closed form), and transmission time —
+// exactly the T = T_e + T_b + T_t of eq. (3).
 // Channel: after the MAC wins the medium, independent channel errors decide
 // whether the receiver and the eavesdropper each capture the packet.
 // Transport: RTP/UDP (fire and forget) or the reliable ARQ stand-in for

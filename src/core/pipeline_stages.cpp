@@ -5,12 +5,10 @@ namespace tv::core {
 ServiceStage::ServiceStage(const PipelineConfig& config, TraceSink* trace)
     : config_(config),
       trace_(trace),
+      model_(config.mac_success_prob, config.backoff_rate),
       // The jitter sigma is per-algorithm, not per-packet; load it once so
       // the per-packet draw skips the profile lookup.
-      enc_jitter_stddev_s_(config.device.speed(config.algorithm).jitter_stddev_s) {
-  model_.mac_success_prob = config.mac_success_prob;
-  model_.backoff_rate = config.backoff_rate;
-}
+      enc_jitter_stddev_s_(config.device.speed(config.algorithm).jitter_stddev_s) {}
 
 ChannelStage::ChannelStage(const PipelineConfig& config,
                            std::uint64_t transfer_seed, TraceSink* trace)

@@ -171,18 +171,16 @@ class ServiceStage {
                        });
   }
 
-  /// One MAC backoff round (T_b).  Each wait is added to *clock and
-  /// *total as drawn (see ServiceModel::draw_backoff).
-  double backoff(std::size_t index, double* clock, double* total,
-                 util::Rng& rng) const {
-    const ServiceModel::BackoffDraw draw =
-        model_.draw_backoff(rng, clock, total);
+  /// One MAC backoff round (T_b) for a packet whose attempt starts at
+  /// now_s.
+  [[nodiscard]] double backoff(std::size_t index, double now_s,
+                               util::Rng& rng) const {
+    const double t_b = model_.draw_backoff(rng);
     if (trace_ != nullptr) {
       trace_->event({Stage::kService, "backoff",
-                     static_cast<std::int64_t>(index), -1,
-                     clock != nullptr ? *clock : 0.0, draw.total_s});
+                     static_cast<std::int64_t>(index), -1, now_s + t_b, t_b});
     }
-    return draw.total_s;
+    return t_b;
   }
 
   /// One on-air transmission draw (T_t).

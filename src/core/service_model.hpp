@@ -1,9 +1,10 @@
 // The single service law of eq. (3): T = T_e(P) + T_b + T_t.
 //
 // Every per-packet stage draw of the sender — encryption time T_e (eq. 15),
-// MAC backoff T_b as a geometric number of Exp(lambda_b) collision waits
-// (eqs. 6-7), and transmission time T_t (eq. 16) — lives here and nowhere
-// else.  Both implementations of the sender consume this model:
+// MAC backoff T_b (eqs. 6-7; a geometric number of Exp(lambda_b) collision
+// waits, drawn in closed form by queueing::BackoffModel), and transmission
+// time T_t (eq. 16) — lives here and nowhere else.  Both implementations of
+// the sender consume this model:
 //
 //   * core::simulate_transfer (the packet-faithful transfer pipeline) draws
 //     all three stages from its single per-transfer RNG;
@@ -18,9 +19,10 @@
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
+#include <cstddef>
 
 #include "core/device_profile.hpp"
+#include "queueing/service_time.hpp"
 #include "util/rng.hpp"
 
 namespace tv::core {
@@ -29,16 +31,17 @@ namespace tv::core {
 /// success probability p_s and backoff wait rate lambda_b) are state; the
 /// Gaussian stages are parameterised per draw because their means depend on
 /// the packet (payload size, frame class) at each call site.
-struct ServiceModel {
-  double mac_success_prob = 0.78;  ///< p_s of eq. (6).
-  double backoff_rate = 420.0;     ///< lambda_b of eq. (7), 1/s.
+class ServiceModel {
+ public:
+  /// Throws std::invalid_argument unless 0 < mac_success_prob <= 1 and
+  /// 0 < backoff_rate < inf (see queueing::BackoffModel).
+  ServiceModel(double mac_success_prob, double backoff_rate)
+      : backoff_(mac_success_prob, backoff_rate) {}
 
-  /// One MAC backoff round: a geometric number of collisions, each followed
-  /// by an exponential wait.
-  struct BackoffDraw {
-    std::uint64_t collisions = 0;
-    double total_s = 0.0;  ///< sum of the collision waits, in draw order.
-  };
+  /// The T_b law: p_s of eq. (6) and lambda_b of eq. (7), 1/s.
+  [[nodiscard]] const queueing::BackoffModel& backoff() const {
+    return backoff_;
+  }
 
   /// T_e (eq. 15): Gaussian around the per-packet mean, clamped at zero.
   /// Consumes exactly one Gaussian variate from `rng`.  Callers skip the
@@ -60,25 +63,12 @@ struct ServiceModel {
                            device.speed(algorithm).jitter_stddev_s);
   }
 
-  /// T_b (eqs. 6-7): draws the geometric collision count, then one
-  /// Exp(backoff_rate) wait per collision.  Each wait is added to every
-  /// non-null accumulator as it is drawn, preserving the caller's
-  /// floating-point accumulation order exactly (the transfer pipeline
-  /// advances both its virtual clock and the packet's running backoff
-  /// total per wait; summing first and adding once would change the
-  /// rounding and break byte-identical replays).
-  [[nodiscard]] BackoffDraw draw_backoff(util::Rng& rng,
-                                         double* clock = nullptr,
-                                         double* accumulator = nullptr) const {
-    BackoffDraw draw;
-    draw.collisions = rng.geometric_failures(mac_success_prob);
-    for (std::uint64_t c = 0; c < draw.collisions; ++c) {
-      const double wait = rng.exponential(backoff_rate);
-      draw.total_s += wait;
-      if (clock != nullptr) *clock += wait;
-      if (accumulator != nullptr) *accumulator += wait;
-    }
-    return draw;
+  /// T_b (eqs. 6-7): zero with probability p_s, otherwise one
+  /// Exp(p_s lambda_b) variate — the exact law of the geometric number of
+  /// Exp(lambda_b) collision waits (queueing::BackoffModel::sample).
+  /// Consumes at most one uniform and one exponential variate from `rng`.
+  [[nodiscard]] double draw_backoff(util::Rng& rng) const {
+    return backoff_.sample(rng);
   }
 
   /// T_t (eq. 16): Gaussian around the PHY transmission time, clamped at
@@ -87,6 +77,9 @@ struct ServiceModel {
                                                 double stddev_s) {
     return std::max(0.0, rng.gaussian(mean_s, stddev_s));
   }
+
+ private:
+  queueing::BackoffModel backoff_;
 };
 
 }  // namespace tv::core

@@ -1,6 +1,7 @@
 #include "core/sweep.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <stdexcept>
@@ -32,13 +33,21 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// %.17g rendering with non-finite values mapped to null (an unstable
+/// queue predicts an infinite delay; JSON has no inf or nan literal).
+std::string json_double(double v) {
+  if (!std::isfinite(v)) return "null";
+  return fmt("%.17g", v);
+}
+
 /// Full-precision statistics object for JSONL ("null" when no samples, so
 /// quality-off sweeps stay parseable).
 std::string json_stats(const util::RunningStats& s) {
   if (s.count() == 0) return "null";
-  return fmt("{\"n\":%zu,\"mean\":%.17g,\"ci95\":%.17g,\"min\":%.17g,"
-             "\"max\":%.17g}",
-             s.count(), s.mean(), s.ci95_halfwidth(), s.min(), s.max());
+  return fmt("{\"n\":%zu,\"mean\":", s.count()) + json_double(s.mean()) +
+         ",\"ci95\":" + json_double(s.ci95_halfwidth()) +
+         ",\"min\":" + json_double(s.min()) +
+         ",\"max\":" + json_double(s.max()) + "}";
 }
 
 std::string csv_stats(const util::RunningStats& s) {
@@ -199,7 +208,7 @@ void JsonlSink::cell(const CellResult& r) {
               e.total_retransmissions, e.total_deadline_drops,
               e.total_outage_drops, e.total_degraded_packets)
        << ",\"encrypted_packet_fraction\":"
-       << fmt("%.17g", e.encryption.packet_fraction())
+       << json_double(e.encryption.packet_fraction())
        << ",\"delay_ms\":" << json_stats(e.delay_ms)
        << ",\"duration_s\":" << json_stats(e.duration_s)
        << ",\"power_w\":" << json_stats(e.power_w)
@@ -210,11 +219,12 @@ void JsonlSink::cell(const CellResult& r) {
   if (e.stage_stats) {
     out_ << ",\"stages\":" << json_stage_stats(*e.stage_stats);
   }
-  out_ << fmt(",\"predicted\":{\"delay_ms\":%.17g,\"eavesdropper_psnr_db\":"
-              "%.17g,\"power_w\":%.17g}}\n",
-              e.predicted_delay.mean_delay_ms,
-              e.predicted_eavesdropper.psnr_db,
-              e.predicted_power.mean_power_w);
+  out_ << ",\"predicted\":{\"delay_ms\":"
+       << json_double(e.predicted_delay.mean_delay_ms)
+       << ",\"eavesdropper_psnr_db\":"
+       << json_double(e.predicted_eavesdropper.psnr_db)
+       << ",\"power_w\":" << json_double(e.predicted_power.mean_power_w)
+       << "}}\n";
 }
 
 void CsvSink::begin(const SweepSpec& spec) {

@@ -56,8 +56,7 @@ PacedSchedule paced_schedule_from_service_model(
     if (p.encrypted && !degraded) {
       clock += service.encrypt(p, i, clock, rng);
     }
-    double backoff_total = 0.0;
-    service.backoff(i, &clock, &backoff_total, rng);
+    clock += service.backoff(i, clock, rng);
     clock += service.transmit(i, service.transmission_mean_s(p), clock, rng);
     schedule.arrival_s.push_back(arrival);
     schedule.send_s.push_back(clock);

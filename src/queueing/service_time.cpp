@@ -2,34 +2,42 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace tv::queueing {
 
+BackoffModel::BackoffModel(double success_prob, double rate)
+    : success_prob_(success_prob), rate_(rate) {
+  // Negated comparisons so NaN is rejected too.
+  if (!(success_prob > 0.0 && success_prob <= 1.0)) {
+    throw std::invalid_argument{
+        "BackoffModel: MAC success probability p_s must be in (0, 1], got " +
+        std::to_string(success_prob)};
+  }
+  if (!(rate > 0.0 && std::isfinite(rate))) {
+    throw std::invalid_argument{
+        "BackoffModel: backoff rate lambda_b must be positive and finite, "
+        "got " +
+        std::to_string(rate)};
+  }
+}
+
 double BackoffModel::mean() const {
-  return (1.0 - success_prob) / (success_prob * rate);
+  return (1.0 - success_prob_) / (success_prob_ * rate_);
 }
 
 double BackoffModel::moment2() const {
-  const double p = success_prob;
-  return 2.0 * (1.0 - p) / (p * p * rate * rate);
+  const double p = success_prob_;
+  return 2.0 * (1.0 - p) / (p * p * rate_ * rate_);
 }
 
 double BackoffModel::moment3() const {
-  const double p = success_prob;
-  return 6.0 * (1.0 - p) / (p * p * p * rate * rate * rate);
+  const double p = success_prob_;
+  return 6.0 * (1.0 - p) / (p * p * p * rate_ * rate_ * rate_);
 }
 
 double BackoffModel::lst(double s) const {
-  return success_prob * (rate + s) / (s + success_prob * rate);
-}
-
-double BackoffModel::sample(util::Rng& rng) const {
-  const std::uint64_t collisions = rng.geometric_failures(success_prob);
-  double total = 0.0;
-  for (std::uint64_t i = 0; i < collisions; ++i) {
-    total += rng.exponential(rate);
-  }
-  return total;
+  return success_prob_ * (rate_ + s) / (s + success_prob_ * rate_);
 }
 
 ServiceTimeModel::ServiceTimeModel(std::vector<GaussianComponent> components,
@@ -57,10 +65,6 @@ ServiceTimeModel::ServiceTimeModel(std::vector<GaussianComponent> components,
   }
   if (std::abs(total - 1.0) > 1e-9) {
     throw std::invalid_argument{"ServiceTimeModel: weights must sum to 1"};
-  }
-  if (backoff_.success_prob <= 0.0 || backoff_.success_prob > 1.0 ||
-      backoff_.rate <= 0.0) {
-    throw std::invalid_argument{"ServiceTimeModel: bad backoff"};
   }
 }
 
@@ -143,8 +147,8 @@ util::Matrix ServiceTimeModel::matrix_mgf(const util::Matrix& a) const {
     mix += util::expm(arg) * c.weight;
   }
   // Backoff factor: p_s (I - (1-p_s) lambda_b (lambda_b I - A)^{-1})^{-1}.
-  const double ps = backoff_.success_prob;
-  const double lb = backoff_.rate;
+  const double ps = backoff_.success_prob();
+  const double lb = backoff_.rate();
   util::Matrix lbi_minus_a = util::Matrix::identity(n) * lb;
   lbi_minus_a -= a;
   const util::Matrix m = util::inverse(lbi_minus_a) * lb;

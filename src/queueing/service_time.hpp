@@ -4,7 +4,8 @@
 //   * T_e — encryption time, present only when the policy encrypts the
 //     packet; Gaussian around a per-class mean (eq. 15, LST eq. 17);
 //   * T_b — MAC backoff: a geometric number K of collisions (eq. 6), each
-//     followed by an Exp(lambda_b) wait (LST eq. 7);
+//     followed by an Exp(lambda_b) wait (LST eq. 7), drawn in closed form
+//     (see BackoffModel);
 //   * T_t — transmission time, Gaussian per frame class (eq. 16, LST 18).
 //
 // Because T_e and T_t for a given packet share the packet's class (I
@@ -29,17 +30,44 @@ struct GaussianComponent {
   double stddev = 0.0;
 };
 
-/// The compound-geometric backoff of eq. (6)/(7).
-struct BackoffModel {
-  double success_prob = 1.0;  ///< p_s: per-attempt success rate.
-  double rate = 1.0;          ///< lambda_b: rate of each waiting interval.
+/// The compound-geometric backoff of eq. (6)/(7): a geometric number K of
+/// collisions (P(K = k) = (1 - p_s)^k p_s), each followed by an
+/// Exp(lambda_b) wait.
+///
+/// Its LST p_s (lambda_b + s) / (s + p_s lambda_b) = p_s + (1 - p_s) *
+/// p_s lambda_b / (s + p_s lambda_b) is that of a two-point mixture: T_b is
+/// exactly 0 with probability p_s (no collision) and otherwise exactly
+/// Exp(p_s lambda_b) (a geometric sum of i.i.d. exponentials is itself
+/// exponential).  sample() draws that mixture directly, so one draw costs
+/// at most one uniform and one exponential variate whatever p_s is.
+class BackoffModel {
+ public:
+  /// Throws std::invalid_argument unless 0 < success_prob <= 1 and
+  /// 0 < rate < inf.
+  BackoffModel(double success_prob, double rate);
+
+  /// p_s: per-attempt success rate.
+  [[nodiscard]] double success_prob() const { return success_prob_; }
+  /// lambda_b: rate of each collision wait.
+  [[nodiscard]] double rate() const { return rate_; }
 
   [[nodiscard]] double mean() const;
   [[nodiscard]] double moment2() const;
   [[nodiscard]] double moment3() const;
   /// LST H_b(s) = p_s (lambda_b + s) / (s + p_s lambda_b), eq. (7).
   [[nodiscard]] double lst(double s) const;
-  [[nodiscard]] double sample(util::Rng& rng) const;
+
+  /// One T_b draw: a uniform against p_s, then (on a collision) one
+  /// Exp(p_s lambda_b) variate.  Inline: it sits on the per-packet hot path
+  /// of every sender simulator.
+  [[nodiscard]] double sample(util::Rng& rng) const {
+    if (rng.bernoulli(success_prob_)) return 0.0;
+    return rng.exponential(success_prob_ * rate_);
+  }
+
+ private:
+  double success_prob_;
+  double rate_;
 };
 
 /// Inputs for the paper's packet-class construction.

@@ -17,7 +17,7 @@ enum Stream : std::uint64_t {
   kArrival = 2,  // interarrival exponentials.
   kClass = 3,    // frame class + encrypt-or-not coin flips.
   kEncrypt = 4,  // T_e Gaussians.
-  kBackoff = 5,  // collision counts and Exp waits.
+  kBackoff = 5,  // T_b draws (a uniform, then at most one Exp).
   kTransmit = 6, // T_t Gaussians.
 };
 
@@ -59,10 +59,8 @@ struct Sim {
         class_rng(util::derive_seed(s.seed, kClass)),
         enc_rng(util::derive_seed(s.seed, kEncrypt)),
         backoff_rng(util::derive_seed(s.seed, kBackoff)),
-        tx_rng(util::derive_seed(s.seed, kTransmit)) {
-    service_model.mac_success_prob = s.service.success_prob;
-    service_model.backoff_rate = s.service.backoff_rate;
-  }
+        tx_rng(util::derive_seed(s.seed, kTransmit)),
+        service_model(s.service.success_prob, s.service.backoff_rate) {}
 
   [[nodiscard]] double rate() const {
     return state == 1 ? spec.arrivals.lambda1 : spec.arrivals.lambda2;
@@ -73,9 +71,7 @@ struct Sim {
 
   // The T_e/T_b/T_t stage draws all come from the shared core::ServiceModel
   // — the same service law core::simulate_transfer composes — each stage
-  // consuming its own derived RNG stream.  Backoff waits are folded into
-  // total_s per draw (via the model's accumulator hook) so the sum's
-  // floating-point order is unchanged by the refactor.
+  // consuming its own derived RNG stream.
   [[nodiscard]] double draw_service() {
     const auto& p = spec.service;
     const bool is_i = class_rng.bernoulli(p.p_i);
@@ -95,11 +91,11 @@ struct Sim {
             {core::Stage::kService, "encrypt", packet, -1, now, t_e});
       }
     }
-    const core::ServiceModel::BackoffDraw backoff =
-        service_model.draw_backoff(backoff_rng, &total_s);
+    const double t_b = service_model.draw_backoff(backoff_rng);
+    total_s += t_b;
     if (spec.trace != nullptr) {
       spec.trace->event(
-          {core::Stage::kService, "backoff", packet, -1, now, backoff.total_s});
+          {core::Stage::kService, "backoff", packet, -1, now, t_b});
     }
     const double t_t =
         is_i ? core::ServiceModel::draw_transmission(tx_rng, p.tx_i_mean,

@@ -11,9 +11,9 @@
 //     tentative next arrival on every phase change;
 //   * each arriving packet draws its frame class (I w.p. p_i), whether the
 //     policy encrypts it (q_i / q_p), an encryption time T_e (eq. 15, only
-//     when encrypted), a MAC backoff T_b as a literal geometric number of
-//     Exp(lambda_b) collision waits (eqs. 6-7), and a transmission time T_t
-//     (eq. 16);
+//     when encrypted), a MAC backoff T_b (eqs. 6-7: a geometric number of
+//     Exp(lambda_b) collision waits, drawn exactly as 0 w.p. p_s else
+//     Exp(p_s lambda_b)), and a transmission time T_t (eq. 16);
 //   * the server is a FIFO single server; waiting time is measured from
 //     arrival to service start.
 //

@@ -127,15 +127,6 @@ class Rng {
     return mean + stddev * gaussian();
   }
 
-  /// Geometric count of failures before the first success (support 0,1,2,...)
-  /// with success probability p, matching eq. (6) of the paper with
-  /// p = packet success rate.
-  std::uint64_t geometric_failures(double p) {
-    std::uint64_t k = 0;
-    while (!bernoulli(p)) ++k;
-    return k;
-  }
-
   /// Derive an independent child generator (for per-component streams).
   Rng fork() { return Rng{(*this)()}; }
 

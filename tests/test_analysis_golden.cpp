@@ -9,11 +9,11 @@
 // output must be identical across Release, ASan and TSan builds and any
 // --threads value.
 //
-// Only the .jsonl is tracked (.gitignore excludes *.pcap); the capture
-// is itself a deterministic function of the coordinates below, so on a
-// fresh checkout the test first rebuilds it with the live testbed and
-// the tracked .jsonl still pins the loopback + analysis chain end to
-// end.  After an intentional behaviour change, regenerate with
+// Both fixtures are tracked.  The capture is a deterministic function of
+// the coordinates below, but the test never rebuilds it silently: a
+// missing .pcap is a failure, so a fixture that was never committed
+// cannot hide behind a regeneration.  After an intentional behaviour
+// change, regenerate both with
 //
 //     TV_UPDATE_GOLDEN=1 ./build/tests/tv_analysis_tests
 //         --gtest_filter='AnalysisGolden.*'   (one command line)
@@ -77,11 +77,10 @@ TEST(AnalysisGolden, PcapAnalysisMatchesFixture) {
   const GoldenCoordinates g;
 
   const bool update = std::getenv("TV_UPDATE_GOLDEN") != nullptr;
-  if (update || read_file(pcap_path).empty()) {
-    // (Re)build the capture with the live testbed: the replay-mode
-    // loopback writes exactly what its eavesdropper tap heard, and is
-    // deterministic in the coordinates, so the untracked pcap fixture
-    // reconstructs bit-for-bit on a fresh checkout.
+  if (update) {
+    // Rebuild the capture with the live testbed: the replay-mode loopback
+    // writes exactly what its eavesdropper tap heard, and is deterministic
+    // in the coordinates.
     live::LoopbackConfig config;
     config.motion = g.motion;
     config.gop_size = g.gop_size;

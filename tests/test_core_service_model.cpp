@@ -1,24 +1,32 @@
 // The shared service law (core::ServiceModel): the single owner of the
-// per-packet T_e/T_b/T_t draws of eq. (3).  These tests pin the draw
-// primitives bit-for-bit against the underlying Rng calls (so neither
-// consumer can drift from the other) and cross-check that the transfer
-// pipeline's per-packet timings are exactly what the model's stage events
-// report.
+// per-packet T_e/T_b/T_t draws of eq. (3).  These tests pin the Gaussian
+// draw primitives bit-for-bit against the underlying Rng calls, hold the
+// backoff draw (model and pipeline) to the compound-geometric law of
+// eqs. (6)-(7), and cross-check that the transfer pipeline's per-packet
+// timings are exactly what the model's stage events report.
 #include "core/service_model.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
+#include "backoff_law.hpp"
 #include "core/pipeline.hpp"
 #include "core/trace.hpp"
 #include "util/arena.hpp"
 
 namespace tv::core {
 namespace {
+
+util::Arena& test_arena() {
+  static util::Arena arena;  // lives for the whole test binary.
+  return arena;
+}
 
 /// Trace sink that keeps every event.
 class CollectSink final : public TraceSink {
@@ -58,49 +66,68 @@ TEST(ServiceModel, DeviceConvenienceUsesCalibratedMeanAndJitter) {
   EXPECT_EQ(drawn, expected);
 }
 
-TEST(ServiceModel, BackoffDrawsGeometricCollisionsThenExpWaits) {
-  ServiceModel model;
-  model.mac_success_prob = 0.6;
-  model.backoff_rate = 500.0;
-  util::Rng a{12};
-  util::Rng b{12};
-  const auto draw = model.draw_backoff(a);
-  // Replay the documented draw order against the raw Rng.
-  const std::uint64_t collisions = b.geometric_failures(0.6);
-  double total = 0.0;
-  for (std::uint64_t c = 0; c < collisions; ++c) total += b.exponential(500.0);
-  EXPECT_EQ(draw.collisions, collisions);
-  EXPECT_EQ(draw.total_s, total);
-  EXPECT_EQ(a(), b());
+TEST(ServiceModel, BackoffDrawMatchesTheCompoundGeometricLaw) {
+  std::uint64_t seed = 12;
+  for (const double p : backoff_law::kSuccessProbs) {
+    const ServiceModel model{p, 500.0};
+    util::Rng rng{seed};
+    util::Rng replay{seed++};
+    backoff_law::expect_follows_law(model.backoff(), 200000, [&] {
+      // The model owns no law of its own: every draw is the shared
+      // closed-form sampler's, variate for variate.
+      const double t_b = model.draw_backoff(rng);
+      EXPECT_EQ(t_b, model.backoff().sample(replay));
+      return t_b;
+    });
+    EXPECT_EQ(rng(), replay());
+  }
 }
 
-TEST(ServiceModel, BackoffFeedsEveryAccumulatorPerWait) {
-  // The FP contract: each wait is added to the clock and the accumulator as
-  // it is drawn, so running totals round exactly as if the caller had
-  // inlined the loop.  Start both from nonzero values where the rounding
-  // order is observable.
-  ServiceModel model;
-  model.mac_success_prob = 0.25;  // several collisions on average.
-  model.backoff_rate = 100.0;
-  for (std::uint64_t seed = 0; seed < 32; ++seed) {
-    util::Rng a{seed};
-    util::Rng b{seed};
-    double clock = 123.456;
-    double accumulator = 0.789;
-    const auto draw = model.draw_backoff(a, &clock, &accumulator);
-
-    double expected_clock = 123.456;
-    double expected_acc = 0.789;
-    const std::uint64_t collisions = b.geometric_failures(0.25);
-    for (std::uint64_t c = 0; c < collisions; ++c) {
-      const double wait = b.exponential(100.0);
-      expected_clock += wait;
-      expected_acc += wait;
-    }
-    EXPECT_EQ(draw.collisions, collisions);
-    EXPECT_EQ(clock, expected_clock);
-    EXPECT_EQ(accumulator, expected_acc);
+TEST(ServiceModel, PipelineBackoffFollowsTheCompoundGeometricLaw) {
+  // End to end: every T_b the transfer pipeline charges (one per attempt;
+  // UDP makes one attempt per packet) is a draw from the configured law.  The traced backoff values are the very doubles
+  // added to the packet's service interval (see
+  // ServiceModelEquivalence.PipelineTimingsMatchTheTracedDraws below).
+  std::vector<net::VideoPacket> packets;
+  for (int f = 0; f < 4000; ++f) {
+    net::VideoPacket p;
+    p.sequence = static_cast<std::uint16_t>(f);
+    p.frame_index = f;
+    p.fragment_index = 0;
+    p.fragment_count = 1;
+    p.is_i_frame = f % 30 == 0;
+    p.allocate_payload(test_arena(), 64, 0x5a);
+    packets.push_back(std::move(p));
   }
+  std::uint64_t seed = 0;
+  for (const double p : backoff_law::kSuccessProbs) {
+    PipelineConfig config;
+    config.mac_success_prob = p;
+    CollectSink sink;
+    std::vector<double> waits;
+    while (waits.size() < 100000) {
+      sink.events.clear();
+      (void)simulate_transfer(config, packets, seed++, &sink);
+      for (const auto& e : sink.events) {
+        if (e.stage == Stage::kService &&
+            std::string_view{e.kind} == "backoff") {
+          waits.push_back(e.value_s);
+        }
+      }
+    }
+    std::size_t next = 0;
+    backoff_law::expect_follows_law(
+        queueing::BackoffModel{p, config.backoff_rate}, waits.size(),
+        [&] { return waits[next++]; });
+  }
+}
+
+TEST(ServiceModel, RejectsDegenerateMacParameters) {
+  EXPECT_THROW(ServiceModel(0.0, 420.0), std::invalid_argument);
+  EXPECT_THROW(ServiceModel(1.5, 420.0), std::invalid_argument);
+  EXPECT_THROW(ServiceModel(0.5, 0.0), std::invalid_argument);
+  EXPECT_THROW(ServiceModel(0.5, -420.0), std::invalid_argument);
+  EXPECT_NO_THROW(ServiceModel(1.0, 420.0));
 }
 
 TEST(ServiceModel, TransmissionIsTheClampedGaussianDraw) {
@@ -113,11 +140,6 @@ TEST(ServiceModel, TransmissionIsTheClampedGaussianDraw) {
 
 // --- Pipeline-side equivalence: the service events the model emits are ---
 // --- exactly the quantities simulate_transfer records per packet.      ---
-
-util::Arena& test_arena() {
-  static util::Arena arena;  // lives for the whole test binary.
-  return arena;
-}
 
 std::vector<net::VideoPacket> encrypted_packets() {
   std::vector<net::VideoPacket> packets;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -201,6 +204,138 @@ TEST(Sinks, FormatsContainTheCells) {
   std::size_t lines = 0;
   for (char ch : csv.str()) lines += ch == '\n';
   EXPECT_EQ(lines, 1 + spec.cell_count());
+}
+
+/// Strict RFC 8259 recogniser: true iff `text` is exactly one JSON value
+/// (surrounding whitespace allowed).  No inf/nan literals, as in JSON.
+class JsonRecogniser {
+ public:
+  explicit JsonRecogniser(std::string_view text) : s_(text) {}
+
+  [[nodiscard]] bool whole_value() {
+    return value() && (skip_ws(), pos_ == s_.size());
+  }
+
+ private:
+  void skip_ws() {
+    while (pos_ < s_.size() && std::string_view{" \t\r\n"}.find(s_[pos_]) !=
+                                   std::string_view::npos) {
+      ++pos_;
+    }
+  }
+  bool eat(char c) {
+    skip_ws();
+    if (pos_ < s_.size() && s_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+  bool literal(std::string_view word) {
+    if (s_.substr(pos_, word.size()) != word) return false;
+    pos_ += word.size();
+    return true;
+  }
+  bool digits() {
+    const std::size_t start = pos_;
+    while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
+    return pos_ > start;
+  }
+  bool number() {
+    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
+    if (!digits()) return false;
+    if (pos_ < s_.size() && s_[pos_] == '.' && (++pos_, !digits())) {
+      return false;
+    }
+    if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-')) ++pos_;
+      return digits();
+    }
+    return true;
+  }
+  bool string() {
+    if (!eat('"')) return false;
+    while (pos_ < s_.size() && s_[pos_] != '"') {
+      if (s_[pos_] == '\\') ++pos_;
+      ++pos_;
+    }
+    return eat('"');
+  }
+  bool value() {
+    skip_ws();
+    if (pos_ >= s_.size()) return false;
+    switch (s_[pos_]) {
+      case '{':
+        ++pos_;
+        if (eat('}')) return true;
+        do {
+          if (!string() || !eat(':') || !value()) return false;
+        } while (eat(','));
+        return eat('}');
+      case '[':
+        ++pos_;
+        if (eat(']')) return true;
+        do {
+          if (!value()) return false;
+        } while (eat(','));
+        return eat(']');
+      case '"':
+        return string();
+      case 't':
+        return literal("true");
+      case 'f':
+        return literal("false");
+      case 'n':
+        return literal("null");
+      default:
+        return number();
+    }
+  }
+
+  std::string_view s_;
+  std::size_t pos_ = 0;
+};
+
+TEST(Sinks, JsonlRendersAnUnstableQueueAsValidJson) {
+  // High motion, every packet under 3DES: the offered load exceeds the
+  // service rate, so the predicted queueing delay is infinite.
+  SweepSpec spec;
+  spec.motions = {video::MotionLevel::kHigh};
+  spec.policies = {{policy::Mode::kAll, crypto::Algorithm::kTripleDes, 0.0}};
+  spec.algorithms = {crypto::Algorithm::kTripleDes};
+  spec.gop_sizes = {8};
+  spec.frames = 16;
+  spec.repetitions = 1;
+  spec.evaluate_quality = false;
+  spec.seed = 25;
+
+  CollectSink collected;
+  std::ostringstream jsonl;
+  {
+    SweepRunner runner;
+    JsonlSink j{jsonl};
+    runner.run(spec, collected);
+    runner.run(spec, j);
+  }
+  ASSERT_EQ(collected.results.size(), 1u);
+  ASSERT_TRUE(
+      std::isinf(collected.results[0].result.predicted_delay.mean_delay_ms));
+
+  const std::string line = jsonl.str();
+  EXPECT_TRUE(JsonRecogniser{line}.whole_value()) << line;
+  EXPECT_NE(line.find("\"predicted\":{\"delay_ms\":null,"), std::string::npos)
+      << line;
+  EXPECT_EQ(line.find("inf"), std::string::npos) << line;
+  EXPECT_EQ(line.find("nan"), std::string::npos) << line;
+}
+
+TEST(Sinks, JsonRecogniserRejectsNonFiniteLiterals) {
+  EXPECT_TRUE(JsonRecogniser{R"({"a":[1,-2.5e3,null,true,"x\"y"]})"}
+                  .whole_value());
+  EXPECT_FALSE(JsonRecogniser{R"({"delay_ms":inf})"}.whole_value());
+  EXPECT_FALSE(JsonRecogniser{R"({"delay_ms":nan})"}.whole_value());
+  EXPECT_FALSE(JsonRecogniser{R"({"a":1} x)"}.whole_value());
 }
 
 TEST(Roundtrips, MotionDeviceTransportStrings) {

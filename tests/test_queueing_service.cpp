@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
+#include "backoff_law.hpp"
 #include "util/rng.hpp"
 
 namespace tv::queueing {
@@ -47,7 +52,66 @@ TEST(BackoffModel, PerfectMacMeansNoBackoff) {
   EXPECT_DOUBLE_EQ(b.mean(), 0.0);
   EXPECT_DOUBLE_EQ(b.lst(3.0), 1.0);
   util::Rng rng{1};
-  EXPECT_DOUBLE_EQ(b.sample(rng), 0.0);
+  // Every draw is 0 and costs exactly the one uniform compared to p_s.
+  for (int i = 0; i < 10000; ++i) {
+    const util::Rng before = rng;
+    ASSERT_EQ(b.sample(rng), 0.0);
+    ASSERT_EQ(backoff_law::words_consumed(before, rng, 2), 1);
+  }
+}
+
+TEST(BackoffModel, SampleMatchesTheCompoundGeometricLaw) {
+  std::uint64_t seed = 19;
+  for (const double p : backoff_law::kSuccessProbs) {
+    const BackoffModel b{p, 420.0};
+    util::Rng rng{seed++};
+    backoff_law::expect_follows_law(b, 200000,
+                                    [&] { return b.sample(rng); });
+  }
+}
+
+TEST(BackoffModel, TinySuccessProbabilityCostsAtMostTwoVariates) {
+  // A per-collision loop would need ~1e9 trials per draw here.
+  const BackoffModel b{1e-9, 420.0};
+  util::Rng rng{6};
+  for (int i = 0; i < 10000; ++i) {
+    const util::Rng before = rng;
+    const double x = b.sample(rng);
+    ASSERT_TRUE(std::isfinite(x));
+    ASSERT_GE(x, 0.0);
+    const int words = backoff_law::words_consumed(before, rng, 2);
+    ASSERT_GE(words, 1);
+    ASSERT_LE(words, 2);
+  }
+}
+
+TEST(BackoffModel, RejectsDegenerateParameters) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double p : {0.0, -0.1, 1.0 + 1e-12, nan}) {
+    EXPECT_THROW((void)BackoffModel(p, 420.0), std::invalid_argument)
+        << "p_s = " << p;
+  }
+  for (const double rate : {0.0, -1.0, nan, inf}) {
+    EXPECT_THROW((void)BackoffModel(0.5, rate), std::invalid_argument)
+        << "lambda_b = " << rate;
+  }
+  try {
+    (void)BackoffModel(0.0, 420.0);
+    FAIL() << "p_s = 0 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("p_s"), std::string::npos)
+        << e.what();
+  }
+  try {
+    (void)BackoffModel(0.5, -1.0);
+    FAIL() << "lambda_b < 0 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("lambda_b"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_NO_THROW((void)BackoffModel(1.0, 1e-6));
+  EXPECT_NO_THROW((void)BackoffModel(1e-12, 1e9));
 }
 
 ServiceTimeModel example_model() {

@@ -68,9 +68,8 @@ TEST(ServiceModelEquivalence, SenderSimDrawsAreTheSharedModelsDraws) {
   util::Rng enc_rng{util::derive_seed(spec.seed, kEncryptStream)};
   util::Rng backoff_rng{util::derive_seed(spec.seed, kBackoffStream)};
   util::Rng tx_rng{util::derive_seed(spec.seed, kTransmitStream)};
-  core::ServiceModel model;
-  model.mac_success_prob = spec.service.success_prob;
-  model.backoff_rate = spec.service.backoff_rate;
+  const core::ServiceModel model{spec.service.success_prob,
+                                 spec.service.backoff_rate};
 
   const auto& p = spec.service;
   std::size_t idx = 0;
@@ -95,7 +94,7 @@ TEST(ServiceModelEquivalence, SenderSimDrawsAreTheSharedModelsDraws) {
       const auto& e = sink.events[idx++];
       ASSERT_EQ(std::string_view{e.kind}, "backoff") << "packet " << packet;
       EXPECT_EQ(e.packet, packet);
-      EXPECT_EQ(e.value_s, model.draw_backoff(backoff_rng).total_s);
+      EXPECT_EQ(e.value_s, model.draw_backoff(backoff_rng));
     }
     {
       ASSERT_LT(idx, sink.events.size());

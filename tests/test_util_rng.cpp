@@ -96,17 +96,6 @@ TEST(Rng, GaussianMomentsMatch) {
   EXPECT_NEAR(var, 9.0, 0.2);
 }
 
-TEST(Rng, GeometricFailuresMean) {
-  Rng rng{19};
-  double sum = 0.0;
-  constexpr int kN = 100000;
-  for (int i = 0; i < kN; ++i) {
-    sum += static_cast<double>(rng.geometric_failures(0.25));
-  }
-  // E[K] = (1-p)/p = 3.
-  EXPECT_NEAR(sum / kN, 3.0, 0.1);
-}
-
 TEST(Rng, BernoulliFrequency) {
   Rng rng{23};
   int hits = 0;
