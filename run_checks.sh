@@ -477,7 +477,7 @@ if [[ "${mode}" != "--sanitize-only" ]]; then
   cmake --build build-tsan -j "${jobs}"
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${jobs}" \
-          -R 'ThreadPool|Sweep|WorkloadCache|Flags|Validation'
+          -R 'ThreadPool|Sweep|WorkloadCache|OnceMap|ReferenceCache|Flags|Validation'
 fi
 
 echo "=== all checks passed ==="

@@ -83,14 +83,14 @@ video::MotionLevel motion_from_ratio(double p_over_i) {
 /// from a reference workload of the *estimated* motion class and GOP —
 /// self-calibration, never ground truth.
 double psnr_proxy(const InferenceResult& r, const CaptureFeatures& f,
-                  const AdversaryConfig& config) {
+                  const AdversaryConfig& config, ReferenceCache& references) {
   if (r.frames.empty()) return 0.0;
   const int gop = std::clamp(r.gop_size_est > 0
                                  ? r.gop_size_est
                                  : static_cast<int>(r.frames.size()),
                              2, 64);
-  const core::Workload reference = core::build_workload(
-      r.motion_est, gop, 2 * gop, config.calibration_seed, config.fps);
+  const ReferenceTerms& reference = references.get(
+      r.motion_est, gop, config.calibration_seed, config.fps);
 
   // Observable traffic shape: packets per frame by estimated class, and
   // per-class encrypted fractions from the visible markers.
@@ -130,8 +130,29 @@ double psnr_proxy(const InferenceResult& r, const CaptureFeatures& f,
 
 }  // namespace
 
+const ReferenceTerms& ReferenceCache::get(video::MotionLevel motion, int gop,
+                                          std::uint64_t calibration_seed,
+                                          double fps) {
+  return terms_.get(
+      Key{static_cast<int>(motion), gop, calibration_seed, fps}, [&] {
+        // Serial build (it must not wait on a pool its waiters occupy);
+        // the workload dies here, only its three content terms are kept.
+        const core::Workload reference = core::build_workload(
+            motion, gop, 2 * gop, calibration_seed, fps);
+        return ReferenceTerms{reference.base_mse, reference.null_mse,
+                              reference.inter};
+      });
+}
+
 InferenceResult infer_stream(const CaptureFeatures& features,
                              const AdversaryConfig& config) {
+  ReferenceCache references;
+  return infer_stream(features, config, references);
+}
+
+InferenceResult infer_stream(const CaptureFeatures& features,
+                             const AdversaryConfig& config,
+                             ReferenceCache& references) {
   InferenceResult out;
   out.trajectory_window_s = config.trajectory_window_s;
   if (features.frames.empty()) return out;
@@ -202,7 +223,8 @@ InferenceResult infer_stream(const CaptureFeatures& features,
   }
 
   // ---- What the snooper effectively sees, in dB.
-  out.eavesdropper_psnr_db_est = psnr_proxy(out, features, config);
+  out.eavesdropper_psnr_db_est =
+      psnr_proxy(out, features, config, references);
   return out;
 }
 

@@ -15,10 +15,14 @@
 //     estimated motion class.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "analysis/features.hpp"
+#include "distortion/inter_gop.hpp"
+#include "util/once_map.hpp"
 #include "video/scene.hpp"
 
 namespace tv::analysis {
@@ -62,8 +66,42 @@ struct InferenceResult {
   double eavesdropper_psnr_db_est = 0.0;  ///< Section 4.3 proxy.
 };
 
-/// Run the full inference chain on one capture's features.  Pure in
-/// (features, config) — byte-identical output at any thread count.
+/// The content terms the PSNR proxy reads from the adversary's reference
+/// workload — the clip, stream and packets are dropped once these are
+/// taken.
+struct ReferenceTerms {
+  double base_mse = 0.0;
+  double null_mse = 0.0;
+  distortion::DistanceDistortion inter;
+};
+
+/// Thread-safe build-once reference terms keyed by (motion, GOP,
+/// calibration seed, fps): the reference workload depends on nothing
+/// else, so every capture whose estimates land on the same key shares one
+/// build.  Owned per run (LeakageRunner), never process-wide.
+class ReferenceCache {
+ public:
+  /// Terms of the `2 * gop`-frame reference clip of this motion class.
+  [[nodiscard]] const ReferenceTerms& get(video::MotionLevel motion, int gop,
+                                          std::uint64_t calibration_seed,
+                                          double fps);
+  /// Number of distinct keys built (or being built) so far.
+  [[nodiscard]] std::size_t size() const { return terms_.size(); }
+
+ private:
+  using Key = std::tuple<int, int, std::uint64_t, double>;
+  util::OnceMap<Key, ReferenceTerms> terms_;
+};
+
+/// Run the full inference chain on one capture's features, taking the
+/// PSNR proxy's reference terms from `references`.  Pure in (features,
+/// config) — byte-identical output at any thread count, shared cache or
+/// not.
+[[nodiscard]] InferenceResult infer_stream(const CaptureFeatures& features,
+                                           const AdversaryConfig& config,
+                                           ReferenceCache& references);
+
+/// As above with a cache of its own (one-off captures).
 [[nodiscard]] InferenceResult infer_stream(const CaptureFeatures& features,
                                            const AdversaryConfig& config = {});
 

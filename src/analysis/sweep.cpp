@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdarg>
-#include <cstdio>
 #include <cstring>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -15,6 +11,7 @@
 #include "energy/energy_model.hpp"
 #include "live/sender.hpp"
 #include "live/stream_map.hpp"
+#include "util/format.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "video/quality.hpp"
@@ -23,14 +20,9 @@ namespace tv::analysis {
 
 namespace {
 
-std::string fmt(const char* format, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buf, sizeof buf, format, args);
-  va_end(args);
-  return buf;
-}
+using util::fmt;
+using util::json_double;
+using util::json_escape;
 
 double decode_psnr(const core::Workload& workload,
                    const std::vector<video::ReceivedFrameData>& frames) {
@@ -38,19 +30,6 @@ double decode_psnr(const core::Workload& workload,
   const video::FrameSequence decoded = decoder.decode_stream(
       workload.stream.width, workload.stream.height, frames);
   return video::sequence_psnr(workload.clip, decoded);
-}
-
-/// JSON string contents of the policy/shaping specs are plain ASCII
-/// ("I+20P", "pad256+jit2ms"), but escape quotes/backslashes anyway so a
-/// future spec grammar cannot silently corrupt the JSONL stream.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace
@@ -120,6 +99,15 @@ LeakageCellResult run_leakage_cell(
     const LeakageSpec& spec, const LeakageCell& cell,
     const core::Workload& workload,
     const std::vector<net::WireRtpPacket>* external_capture) {
+  ReferenceCache references;
+  return run_leakage_cell(spec, cell, workload, external_capture, references);
+}
+
+LeakageCellResult run_leakage_cell(
+    const LeakageSpec& spec, const LeakageCell& cell,
+    const core::Workload& workload,
+    const std::vector<net::WireRtpPacket>* external_capture,
+    ReferenceCache& references) {
   LeakageCellResult r;
   r.cell = cell;
 
@@ -187,7 +175,7 @@ LeakageCellResult run_leakage_cell(
   const CaptureFeatures features = external_capture != nullptr
                                        ? extract_features(*external_capture)
                                        : extract_features(captures);
-  r.inference = infer_stream(features, spec.adversary);
+  r.inference = infer_stream(features, spec.adversary, references);
 
   // ---- Ground truth from the sender's own state: unjittered schedule,
   // content (unpadded) bytes, and the eavesdropper PSNR actually measured
@@ -252,27 +240,30 @@ void LeakageJsonlSink::cell(const LeakageCellResult& r) {
               "\"motion_true\":\"%s\",",
               r.inference.gop_size_est, r.truth.gop_size,
               to_string(r.inference.motion_est), to_string(r.truth.motion));
-  out_ << fmt("\"bitrate_est_bps\":%.17g,\"bitrate_true_bps\":%.17g,"
-              "\"q_est\":%.17g,\"q_true\":%.17g,"
-              "\"psnr_est_db\":%.17g,\"psnr_true_db\":%.17g,",
-              r.inference.mean_bitrate_bps, r.truth.mean_bitrate_bps,
-              r.inference.encrypted_fraction_est,
-              r.truth.encrypted_packet_fraction,
-              r.inference.eavesdropper_psnr_db_est,
-              r.truth.eavesdropper_psnr_db);
-  out_ << fmt("\"i_precision\":%.17g,\"i_recall\":%.17g,\"i_f1\":%.17g,"
-              "\"gop_error\":%d,\"motion_match\":%s,"
-              "\"bitrate_rel_error\":%.17g,\"trajectory_mae_kbps\":%.17g,"
-              "\"encrypted_fraction_error\":%.17g,\"psnr_error_db\":%.17g,",
-              r.metrics.i_precision, r.metrics.i_recall, r.metrics.i_f1,
-              r.metrics.gop_error, r.metrics.motion_match ? "true" : "false",
-              r.metrics.bitrate_rel_error, r.metrics.trajectory_mae_kbps,
-              r.metrics.encrypted_fraction_error, r.metrics.psnr_error_db);
-  out_ << fmt("\"duration_s\":%.17g,\"mean_delay_ms\":%.17g,"
-              "\"mean_power_w\":%.17g,\"pad_overhead_bytes\":%zu,"
-              "\"jitter_mean_delay_s\":%.17g}\n",
-              r.duration_s, r.mean_delay_ms, r.mean_power_w,
-              r.pad_overhead_bytes, r.jitter_mean_delay_s);
+  out_ << "\"bitrate_est_bps\":" << json_double(r.inference.mean_bitrate_bps)
+       << ",\"bitrate_true_bps\":" << json_double(r.truth.mean_bitrate_bps)
+       << ",\"q_est\":" << json_double(r.inference.encrypted_fraction_est)
+       << ",\"q_true\":" << json_double(r.truth.encrypted_packet_fraction)
+       << ",\"psnr_est_db\":"
+       << json_double(r.inference.eavesdropper_psnr_db_est)
+       << ",\"psnr_true_db\":" << json_double(r.truth.eavesdropper_psnr_db)
+       << ",\"i_precision\":" << json_double(r.metrics.i_precision)
+       << ",\"i_recall\":" << json_double(r.metrics.i_recall)
+       << ",\"i_f1\":" << json_double(r.metrics.i_f1)
+       << ",\"gop_error\":" << r.metrics.gop_error
+       << ",\"motion_match\":" << (r.metrics.motion_match ? "true" : "false")
+       << ",\"bitrate_rel_error\":" << json_double(r.metrics.bitrate_rel_error)
+       << ",\"trajectory_mae_kbps\":"
+       << json_double(r.metrics.trajectory_mae_kbps)
+       << ",\"encrypted_fraction_error\":"
+       << json_double(r.metrics.encrypted_fraction_error)
+       << ",\"psnr_error_db\":" << json_double(r.metrics.psnr_error_db)
+       << ",\"duration_s\":" << json_double(r.duration_s)
+       << ",\"mean_delay_ms\":" << json_double(r.mean_delay_ms)
+       << ",\"mean_power_w\":" << json_double(r.mean_power_w)
+       << ",\"pad_overhead_bytes\":" << r.pad_overhead_bytes
+       << ",\"jitter_mean_delay_s\":" << json_double(r.jitter_mean_delay_s)
+       << "}\n";
 }
 
 void LeakageCsvSink::begin(const LeakageSpec& spec) {
@@ -326,33 +317,13 @@ LeakageSummary LeakageRunner::run(const LeakageSpec& spec,
   summary.cells = cells.size();
   summary.threads = pool_ != nullptr ? pool_->thread_count() : 1;
 
-  // Cells complete in any order; slots + next_flush turn that back into
-  // strictly in-order sink calls (the determinism contract).
-  std::vector<std::unique_ptr<LeakageCellResult>> slots(cells.size());
-  std::size_t next_flush = 0;
-  std::mutex flush_mu;
-  auto store_and_flush = [&](std::size_t index,
-                             std::unique_ptr<LeakageCellResult> r) {
-    std::lock_guard lock{flush_mu};
-    slots[index] = std::move(r);
-    while (next_flush < slots.size() && slots[next_flush]) {
-      sink.cell(*slots[next_flush]);
-      slots[next_flush].reset();
-      ++next_flush;
-    }
-  };
-
-  auto run_one = [&](std::size_t index) {
-    store_and_flush(index, std::make_unique<LeakageCellResult>(
-                               run_leakage_cell(spec, cells[index],
-                                                workload)));
-  };
-
-  if (pool_ != nullptr && cells.size() > 1) {
-    pool_->parallel_for(cells.size(), run_one);
-  } else {
-    for (std::size_t i = 0; i < cells.size(); ++i) run_one(i);
-  }
+  util::ordered_parallel_map(
+      pool_, cells.size(),
+      [&](std::size_t index) {
+        return run_leakage_cell(spec, cells[index], workload, nullptr,
+                                references_);
+      },
+      [&](const LeakageCellResult& r) { sink.cell(r); });
   sink.end();
 
   summary.wall_s =

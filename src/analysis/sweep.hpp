@@ -83,6 +83,15 @@ struct LeakageCellResult {
 /// deterministic re-run, so a pcap produced by `live loopback` with the
 /// same flags scores against the same truth as the in-memory sweep cell
 /// (capture timestamps differ only by pcap's microsecond rounding).
+/// The adversary's reference terms come from `references`, which cells
+/// running concurrently may share.
+[[nodiscard]] LeakageCellResult run_leakage_cell(
+    const LeakageSpec& spec, const LeakageCell& cell,
+    const core::Workload& workload,
+    const std::vector<net::WireRtpPacket>* external_capture,
+    ReferenceCache& references);
+
+/// As above with a reference cache of its own (one-off cells).
 [[nodiscard]] LeakageCellResult run_leakage_cell(
     const LeakageSpec& spec, const LeakageCell& cell,
     const core::Workload& workload,
@@ -163,15 +172,22 @@ struct LeakageSummary {
 };
 
 /// Executes LeakageSpecs, optionally on a thread pool.  `pool == nullptr`
-/// runs serially; any pool size yields byte-identical sink output.
+/// runs serially; any pool size yields byte-identical sink output.  Every
+/// cell shares the runner's reference cache; reuse one runner across
+/// related sweeps to share it further.
 class LeakageRunner {
  public:
   explicit LeakageRunner(util::ThreadPool* pool = nullptr) : pool_(pool) {}
 
   LeakageSummary run(const LeakageSpec& spec, LeakageSink& sink);
 
+  [[nodiscard]] const ReferenceCache& references() const {
+    return references_;
+  }
+
  private:
   util::ThreadPool* pool_;
+  ReferenceCache references_;
 };
 
 }  // namespace tv::analysis

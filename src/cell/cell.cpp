@@ -1,9 +1,6 @@
 #include "cell/cell.hpp"
 
 #include <chrono>
-#include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -11,6 +8,7 @@
 #include "crypto/suite.hpp"
 #include "util/arena.hpp"
 #include "energy/energy_model.hpp"
+#include "util/format.hpp"
 #include "util/thread_pool.hpp"
 #include "video/quality.hpp"
 #include "wifi/gilbert_elliott.hpp"
@@ -19,38 +17,10 @@ namespace tv::cell {
 
 namespace {
 
-std::string fmt(const char* format, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buf, sizeof buf, format, args);
-  va_end(args);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-/// %.17g rendering with non-finite values mapped to null (slack is +inf
-/// for flows without a deadline; JSON has no inf literal).
-std::string json_double(double v) {
-  if (!std::isfinite(v)) return "null";
-  return fmt("%.17g", v);
-}
-
-std::string json_stats(const util::RunningStats& s) {
-  if (s.count() == 0) return "null";
-  return fmt("{\"n\":%zu,\"mean\":%.17g,\"ci95\":%.17g,\"min\":%.17g,"
-             "\"max\":%.17g}",
-             s.count(), s.mean(), s.ci95_halfwidth(), s.min(), s.max());
-}
+using util::fmt;
+using util::json_double;
+using util::json_escape;
+using util::json_stats;
 
 /// Deterministic per-flow IV sized for the cipher (same derivation idiom
 /// as run_experiment's).

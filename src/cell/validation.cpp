@@ -2,12 +2,9 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 
+#include "util/format.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -15,14 +12,7 @@ namespace tv::cell {
 
 namespace {
 
-std::string fmt(const char* format, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buf, sizeof buf, format, args);
-  va_end(args);
-  return buf;
-}
+using util::fmt;
 
 /// Binomial standard-error estimate of a proportion over `trials`.
 double proportion_se(double p, double trials) {
@@ -209,37 +199,18 @@ CellValidationSummary CellValidationRunner::run(const CellValidationSpec& spec,
   summary.cells = cells.size();
   summary.threads = pool_ != nullptr ? pool_->thread_count() : 1;
 
-  // Cells complete in any order; slots + next_flush turn that back into
-  // strictly in-order sink calls (the determinism contract).
-  std::vector<std::unique_ptr<CellValidationCellResult>> slots(cells.size());
-  std::size_t next_flush = 0;
-  std::mutex flush_mu;
-  auto store_and_flush = [&](std::size_t index,
-                             std::unique_ptr<CellValidationCellResult> r) {
-    std::lock_guard lock{flush_mu};
-    slots[index] = std::move(r);
-    while (next_flush < slots.size() && slots[next_flush]) {
-      const CellValidationCellResult& result = *slots[next_flush];
-      if (result.passed()) ++summary.passed_cells;
-      for (const CellValidationCheck& c : result.checks) {
-        if (!c.ok) ++summary.failed_checks;
-      }
-      sink.cell(result);
-      slots[next_flush].reset();
-      ++next_flush;
-    }
-  };
-
-  auto run_one = [&](std::size_t index) {
-    store_and_flush(index, std::make_unique<CellValidationCellResult>(
-                               run_cell_validation_cell(spec, cells[index])));
-  };
-
-  if (pool_ != nullptr && cells.size() > 1) {
-    pool_->parallel_for(cells.size(), run_one);
-  } else {
-    for (std::size_t i = 0; i < cells.size(); ++i) run_one(i);
-  }
+  util::ordered_parallel_map(
+      pool_, cells.size(),
+      [&](std::size_t index) {
+        return run_cell_validation_cell(spec, cells[index]);
+      },
+      [&](const CellValidationCellResult& result) {
+        if (result.passed()) ++summary.passed_cells;
+        for (const CellValidationCheck& c : result.checks) {
+          if (!c.ok) ++summary.failed_checks;
+        }
+        sink.cell(result);
+      });
   sink.end();
 
   summary.wall_s =

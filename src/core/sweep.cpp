@@ -1,12 +1,10 @@
 #include "core/sweep.hpp"
 
 #include <chrono>
-#include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 
+#include "util/format.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -14,41 +12,10 @@ namespace tv::core {
 
 namespace {
 
-std::string fmt(const char* format, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buf, sizeof buf, format, args);
-  va_end(args);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-/// %.17g rendering with non-finite values mapped to null (an unstable
-/// queue predicts an infinite delay; JSON has no inf or nan literal).
-std::string json_double(double v) {
-  if (!std::isfinite(v)) return "null";
-  return fmt("%.17g", v);
-}
-
-/// Full-precision statistics object for JSONL ("null" when no samples, so
-/// quality-off sweeps stay parseable).
-std::string json_stats(const util::RunningStats& s) {
-  if (s.count() == 0) return "null";
-  return fmt("{\"n\":%zu,\"mean\":", s.count()) + json_double(s.mean()) +
-         ",\"ci95\":" + json_double(s.ci95_halfwidth()) +
-         ",\"min\":" + json_double(s.min()) +
-         ",\"max\":" + json_double(s.max()) + "}";
-}
+using util::fmt;
+using util::json_double;
+using util::json_escape;
+using util::json_stats;
 
 std::string csv_stats(const util::RunningStats& s) {
   if (s.count() == 0) return ",";
@@ -282,37 +249,11 @@ std::shared_ptr<const Workload> WorkloadCache::get(video::MotionLevel motion,
                                                    int gop_size, int frames,
                                                    std::uint64_t seed,
                                                    double fps) {
-  const Key key{static_cast<int>(motion), gop_size, frames, seed, fps};
-  std::shared_future<std::shared_ptr<const Workload>> future;
-  std::promise<std::shared_ptr<const Workload>> promise;
-  bool builder = false;
-  {
-    std::lock_guard lock{mu_};
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      future = it->second;
-    } else {
-      builder = true;
-      future = promise.get_future().share();
-      cache_.emplace(key, future);
-    }
-  }
-  if (builder) {
-    // Build outside the lock: siblings needing other keys proceed, and
-    // siblings needing this key block on the future below.
-    try {
-      promise.set_value(std::make_shared<const Workload>(
-          build_workload(motion, gop_size, frames, seed, fps)));
-    } catch (...) {
-      promise.set_exception(std::current_exception());
-    }
-  }
-  return future.get();  // rethrows a build failure to every waiter.
-}
-
-std::size_t WorkloadCache::size() const {
-  std::lock_guard lock{mu_};
-  return cache_.size();
+  return workloads_.get(
+      Key{static_cast<int>(motion), gop_size, frames, seed, fps}, [&] {
+        return std::make_shared<const Workload>(
+            build_workload(motion, gop_size, frames, seed, fps));
+      });
 }
 
 SweepSummary SweepRunner::run(const SweepSpec& spec, ResultSink& sink) {
@@ -334,22 +275,6 @@ SweepSummary SweepRunner::run(const SweepSpec& spec, ResultSink& sink) {
   const auto t0 = std::chrono::steady_clock::now();
   sink.begin(spec);
 
-  // Cells complete in any order; slots + next_flush turn that back into
-  // strictly in-order sink calls (and free each result once emitted).
-  std::vector<std::unique_ptr<CellResult>> slots(cells.size());
-  std::size_t next_flush = 0;
-  std::mutex flush_mu;
-  auto store_and_flush = [&](std::size_t index,
-                             std::unique_ptr<CellResult> result) {
-    std::lock_guard lock{flush_mu};
-    slots[index] = std::move(result);
-    while (next_flush < slots.size() && slots[next_flush]) {
-      sink.cell(*slots[next_flush]);
-      slots[next_flush].reset();
-      ++next_flush;
-    }
-  };
-
   auto run_cell = [&](std::size_t index) {
     const SweepCell& cell = cells[index];
     ExperimentSpec es;
@@ -366,17 +291,13 @@ SweepSummary SweepRunner::run(const SweepSpec& spec, ResultSink& sink) {
     const std::shared_ptr<const Workload> workload =
         cache_.get(cell.motion, cell.gop_size, spec.frames, spec.seed,
                    spec.fps);
-    auto result = std::make_unique<CellResult>();
-    result->cell = cell;
-    result->result = run_experiment(es, *workload, pool_);
-    store_and_flush(index, std::move(result));
+    CellResult result;
+    result.cell = cell;
+    result.result = run_experiment(es, *workload, pool_);
+    return result;
   };
-
-  if (pool_ != nullptr && cells.size() > 1) {
-    pool_->parallel_for(cells.size(), run_cell);
-  } else {
-    for (std::size_t i = 0; i < cells.size(); ++i) run_cell(i);
-  }
+  util::ordered_parallel_map(pool_, cells.size(), run_cell,
+                             [&](const CellResult& r) { sink.cell(r); });
   sink.end();
 
   SweepSummary summary;

@@ -12,16 +12,14 @@
 #pragma once
 
 #include <cstdint>
-#include <future>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <ostream>
 #include <tuple>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "util/once_map.hpp"
 
 namespace tv::util {
 class ThreadPool;
@@ -150,12 +148,11 @@ class WorkloadCache {
                                                     std::uint64_t seed,
                                                     double fps = 30.0);
   /// Number of distinct workloads built (or being built) so far.
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] std::size_t size() const { return workloads_.size(); }
 
  private:
   using Key = std::tuple<int, int, int, std::uint64_t, double>;
-  mutable std::mutex mu_;
-  std::map<Key, std::shared_future<std::shared_ptr<const Workload>>> cache_;
+  util::OnceMap<Key, std::shared_ptr<const Workload>> workloads_;
 };
 
 struct SweepSummary {

@@ -2,16 +2,13 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 
 #include "core/calibration.hpp"
 #include "core/predictor.hpp"
 #include "distortion/gop_model.hpp"
 #include "queueing/mmpp_g1.hpp"
+#include "util/format.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -19,28 +16,12 @@ namespace tv::sim {
 
 namespace {
 
+using util::fmt;
+using util::json_escape;
+
 // Per-cell RNG substreams (folded onto the cell's derived seed).
 constexpr std::uint64_t kSenderStream = 1;
 constexpr std::uint64_t kEavesdropperStream = 2;
-
-std::string fmt(const char* format, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buf, sizeof buf, format, args);
-  va_end(args);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 core::TrafficCalibration make_traffic(const ValidationSpec& spec,
                                       const ValidationCell& cell) {
@@ -451,38 +432,19 @@ ValidationSummary ValidationRunner::run(const ValidationSpec& spec,
   summary.cells = cells.size();
   summary.threads = pool_ != nullptr ? pool_->thread_count() : 1;
 
-  // Cells complete in any order; slots + next_flush turn that back into
-  // strictly in-order sink calls (the determinism contract).
-  std::vector<std::unique_ptr<ValidationCellResult>> slots(cells.size());
-  std::size_t next_flush = 0;
-  std::mutex flush_mu;
-  auto store_and_flush = [&](std::size_t index,
-                             std::unique_ptr<ValidationCellResult> result) {
-    std::lock_guard lock{flush_mu};
-    slots[index] = std::move(result);
-    while (next_flush < slots.size() && slots[next_flush]) {
-      const ValidationCellResult& r = *slots[next_flush];
-      if (r.passed()) ++summary.passed_cells;
-      for (const ValidationCheck& c : r.checks) {
-        if (!c.ok) ++summary.failed_checks;
-      }
-      sink.cell(r);
-      slots[next_flush].reset();
-      ++next_flush;
-    }
-  };
-
-  auto run_cell = [&](std::size_t index) {
-    store_and_flush(index, std::make_unique<ValidationCellResult>(
-                               run_validation_cell(spec, cells[index])));
-  };
-
   // Traced runs execute serially so the event stream arrives in cell order.
-  if (pool_ != nullptr && cells.size() > 1 && spec.trace == nullptr) {
-    pool_->parallel_for(cells.size(), run_cell);
-  } else {
-    for (std::size_t i = 0; i < cells.size(); ++i) run_cell(i);
-  }
+  util::ordered_parallel_map(
+      spec.trace == nullptr ? pool_ : nullptr, cells.size(),
+      [&](std::size_t index) {
+        return run_validation_cell(spec, cells[index]);
+      },
+      [&](const ValidationCellResult& r) {
+        if (r.passed()) ++summary.passed_cells;
+        for (const ValidationCheck& c : r.checks) {
+          if (!c.ok) ++summary.failed_checks;
+        }
+        sink.cell(r);
+      });
   sink.end();
 
   summary.wall_s =

@@ -120,4 +120,34 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// Run `produce(i)` for every i in [0, n) — on `pool` when it is non-null
+/// and n > 1, else serially — and hand each result to `consume` strictly
+/// in index order, freeing it once consumed.  Results complete in any
+/// order; the slots hold them until their predecessors are out, so a
+/// sink sees the same call sequence at any thread count.  `consume` runs
+/// under a lock and may update unsynchronized state.
+template <typename Produce, typename Consume>
+void ordered_parallel_map(ThreadPool* pool, std::size_t n, Produce&& produce,
+                          Consume&& consume) {
+  using Result = std::invoke_result_t<Produce&, std::size_t>;
+  std::vector<std::unique_ptr<Result>> slots(n);
+  std::size_t next = 0;
+  std::mutex mu;
+  auto run_one = [&](std::size_t i) {
+    auto result = std::make_unique<Result>(produce(i));
+    std::lock_guard lock{mu};
+    slots[i] = std::move(result);
+    while (next < n && slots[next]) {
+      consume(*slots[next]);
+      slots[next].reset();
+      ++next;
+    }
+  };
+  if (pool != nullptr && n > 1) {
+    pool->parallel_for(n, run_one);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) run_one(i);
+  }
+}
+
 }  // namespace tv::util

@@ -2,6 +2,8 @@
 // synthesized deterministically from the real sender pipeline.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "analysis/leakage.hpp"
@@ -98,6 +100,44 @@ TEST(AnalysisInference, BitrateAndTrajectoryAreExactWithoutShaping) {
       run_cell(policy_of("none"), policy::ShapingPolicy{});
   EXPECT_LT(r.metrics.bitrate_rel_error, 0.01);
   EXPECT_LT(r.metrics.trajectory_mae_kbps, 1.0);
+}
+
+/// Features of a clip's cleartext wire stream heard in full, one packet
+/// per millisecond.
+CaptureFeatures cleartext_features(video::MotionLevel motion,
+                                   std::uint64_t seed) {
+  const core::Workload workload =
+      core::build_workload(motion, 8, 24, seed, 30.0);
+  std::vector<net::RawCapture> captures;
+  captures.reserve(workload.packets.size());
+  for (std::size_t i = 0; i < workload.packets.size(); ++i) {
+    const util::ByteView wire = workload.packets[i].payload.wire();
+    captures.push_back(net::RawCapture{
+        1e-3 * static_cast<double>(i),
+        std::vector<std::uint8_t>{wire.begin(), wire.end()}});
+  }
+  return extract_features(captures);
+}
+
+TEST(AnalysisInference, SharedReferenceCacheIsBitwiseEqualToAFreshOne) {
+  // Two motions and two calibration seeds through one shared cache: each
+  // lookup must land on its own key's terms, never on a stale neighbour.
+  AdversaryConfig config;
+  AdversaryConfig reseeded;
+  reseeded.calibration_seed = config.calibration_seed + 1;
+  ReferenceCache shared;
+  for (const video::MotionLevel motion :
+       {video::MotionLevel::kLow, video::MotionLevel::kHigh}) {
+    const CaptureFeatures features = cleartext_features(motion, 3);
+    for (const AdversaryConfig& c : {config, reseeded}) {
+      const InferenceResult fresh = infer_stream(features, c);
+      const InferenceResult cached = infer_stream(features, c, shared);
+      EXPECT_EQ(cached.motion_est, motion);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(cached.eavesdropper_psnr_db_est),
+                std::bit_cast<std::uint64_t>(fresh.eavesdropper_psnr_db_est));
+    }
+  }
+  EXPECT_EQ(shared.size(), 4u);  // 2 motions x 2 seeds: every one missed.
 }
 
 // ---- score_leakage unit conventions.

@@ -2,8 +2,12 @@
 // spec validation and the byte-identical-at-any-thread-count contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "analysis/sweep.hpp"
@@ -147,6 +151,76 @@ TEST(AnalysisSweep, RunnerOutputIsByteIdenticalAtAnyThreadCount) {
   EXPECT_EQ(s4.threads, 4u);
   EXPECT_EQ(serial_out.str(), pooled_out.str());
   EXPECT_FALSE(serial_out.str().empty());
+}
+
+TEST(AnalysisSweep, RunnerBuildsEachReferenceKeyOnce) {
+  // The default grid: every cell shares the runner's reference cache, so
+  // it holds one entry per distinct (estimated motion, clamped GOP).
+  LeakageSpec spec;
+  util::ThreadPool pool{4};
+  LeakageCollectSink collect;
+  LeakageRunner runner{&pool};
+  runner.run(spec, collect);
+  ASSERT_EQ(collect.results.size(), spec.cell_count());
+
+  std::set<std::pair<int, int>> keys;
+  for (const LeakageCellResult& r : collect.results) {
+    const int frames = static_cast<int>(r.inference.frames.size());
+    ASSERT_GT(frames, 0);
+    const int gop = std::clamp(
+        r.inference.gop_size_est > 0 ? r.inference.gop_size_est : frames, 2,
+        64);
+    keys.emplace(static_cast<int>(r.inference.motion_est), gop);
+  }
+  EXPECT_EQ(runner.references().size(), keys.size());
+  EXPECT_LT(runner.references().size(), collect.results.size());
+
+  // A second run on the same runner hits every key it needs.
+  LeakageCollectSink again;
+  runner.run(spec, again);
+  EXPECT_EQ(runner.references().size(), keys.size());
+}
+
+TEST(ReferenceCache, ConcurrentCellsShareOneBuild) {
+  // Eight copies of one unshaped cell estimate the same (motion, GOP) and
+  // meet at a single reference build on the pool; each still scores
+  // exactly as a cell with a cache of its own.
+  LeakageSpec spec;
+  spec.policies = {policy_of("I")};
+  spec.shapings = {policy::ShapingPolicy{}};
+  const LeakageCell cell = enumerate_leakage_cells(spec).front();
+  const core::Workload workload =
+      core::build_workload(spec.motion, spec.gop_size, spec.frames,
+                           spec.seed, spec.pipeline.fps);
+
+  ReferenceCache shared;
+  util::ThreadPool pool{4};
+  std::vector<double> psnr_est(8);
+  pool.parallel_for(psnr_est.size(), [&](std::size_t i) {
+    psnr_est[i] = run_leakage_cell(spec, cell, workload, nullptr, shared)
+                      .inference.eavesdropper_psnr_db_est;
+  });
+  EXPECT_EQ(shared.size(), 1u);
+
+  const LeakageCellResult alone = run_leakage_cell(spec, cell, workload);
+  for (const double p : psnr_est) {
+    EXPECT_EQ(p, alone.inference.eavesdropper_psnr_db_est);
+  }
+}
+
+TEST(AnalysisSweep, JsonlRendersNonFiniteScoresAsNull) {
+  LeakageCellResult r;
+  r.inference.eavesdropper_psnr_db_est =
+      std::numeric_limits<double>::infinity();
+  r.metrics.psnr_error_db = std::numeric_limits<double>::quiet_NaN();
+  std::ostringstream out;
+  LeakageJsonlSink sink{out};
+  sink.cell(r);
+  const std::string line = out.str();
+  EXPECT_NE(line.find("\"psnr_est_db\":null,"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"psnr_error_db\":null,"), std::string::npos) << line;
+  EXPECT_EQ(line.find("inf"), std::string::npos) << line;
+  EXPECT_EQ(line.find("nan"), std::string::npos) << line;
 }
 
 TEST(AnalysisSweep, TeeSinkFansOutToEveryFormat) {

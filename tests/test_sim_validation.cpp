@@ -100,6 +100,21 @@ TEST(ValidationRunner, JsonlOutputIsByteIdenticalAcrossThreadCounts) {
   EXPECT_NE(serial.str().find("\"mean_wait\""), std::string::npos);
 }
 
+TEST(ValidationRunner, JsonlKeepsEveryFieldOfLongObjects) {
+  // The sender and analytic objects each render past 256 characters; a
+  // fixed-size format buffer once cut them mid-key, leaving invalid JSON.
+  std::ostringstream out;
+  {
+    ValidationJsonlSink sink{out};
+    (void)ValidationRunner{}.run(tiny_spec(), sink);
+  }
+  const std::string line = out.str().substr(0, out.str().find('\n'));
+  EXPECT_NE(line.find("\"arrival_state1_fraction\":"), std::string::npos);
+  EXPECT_NE(line.find("\"served\":"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"flow_mse\":"), line.rfind("\"flow_mse\":"))
+      << line;  // the eavesdropper's and the analytic model's.
+}
+
 TEST(ValidationRunner, FailsFastOnUnstableCells) {
   ValidationSpec unstable = tiny_spec();
   // Policy "all" with 3DES on the slow device profile overloads the queue.

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace tv::util {
@@ -117,6 +119,24 @@ TEST(ThreadPool, RunPendingTaskFromOutside) {
   blocker.get();
   queued.get();
   EXPECT_TRUE(ran.load());
+}
+
+TEST(ThreadPool, OrderedParallelMapConsumesInIndexOrder) {
+  // Early indices finish last, so results complete out of order; the
+  // consumer must still see 0, 1, 2, ... with or without a pool.
+  constexpr std::size_t n = 16;
+  auto produce = [](std::size_t i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200 * (n - i)));
+    return i * i;
+  };
+  ThreadPool pool{4};
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::vector<std::size_t> seen;
+    ordered_parallel_map(p, n, produce,
+                         [&](std::size_t v) { seen.push_back(v); });
+    ASSERT_EQ(seen.size(), n);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(seen[i], i * i);
+  }
 }
 
 }  // namespace
