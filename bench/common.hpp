@@ -144,26 +144,8 @@ inline core::SweepSpec base_spec(const BenchOptions& options, bool quality) {
   return spec;
 }
 
-/// Fans sweep results out to several sinks; the runner still sees a single
-/// ResultSink and keeps its deterministic in-order delivery.
-class TeeSink : public core::ResultSink {
- public:
-  void add(core::ResultSink* sink) {
-    if (sink != nullptr) sinks_.push_back(sink);
-  }
-  void begin(const core::SweepSpec& spec) override {
-    for (auto* s : sinks_) s->begin(spec);
-  }
-  void cell(const core::CellResult& result) override {
-    for (auto* s : sinks_) s->cell(result);
-  }
-  void end() override {
-    for (auto* s : sinks_) s->end();
-  }
-
- private:
-  std::vector<core::ResultSink*> sinks_;
-};
+/// Fans sweep results out to the --json/--csv sinks next to the collector.
+using TeeSink = util::TeeSink<core::SweepSpec, core::CellResult>;
 
 /// Executes figure grids on the shared thread pool and accumulates a small
 /// cells/wall-time tally for the end-of-run summary line.  With

@@ -1,7 +1,6 @@
 #include "analysis/sweep.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -310,25 +309,16 @@ LeakageSummary LeakageRunner::run(const LeakageSpec& spec,
       core::build_workload(spec.motion, spec.gop_size, spec.frames,
                            spec.seed, spec.pipeline.fps);
 
-  const auto t0 = std::chrono::steady_clock::now();
-  sink.begin(spec);
-
   LeakageSummary summary;
   summary.cells = cells.size();
   summary.threads = pool_ != nullptr ? pool_->thread_count() : 1;
-
-  util::ordered_parallel_map(
-      pool_, cells.size(),
+  summary.wall_s = util::stream_results(
+      pool_, cells.size(), spec, sink,
       [&](std::size_t index) {
         return run_leakage_cell(spec, cells[index], workload, nullptr,
                                 references_);
       },
-      [&](const LeakageCellResult& r) { sink.cell(r); });
-  sink.end();
-
-  summary.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+      [](const LeakageCellResult&) {});
   return summary;
 }
 

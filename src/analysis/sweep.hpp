@@ -19,6 +19,7 @@
 
 #include "analysis/leakage.hpp"
 #include "core/pipeline.hpp"
+#include "util/sink.hpp"
 
 namespace tv::util {
 class ThreadPool;
@@ -97,72 +98,35 @@ struct LeakageCellResult {
     const core::Workload& workload,
     const std::vector<net::WireRtpPacket>* external_capture = nullptr);
 
-/// Consumer of cell results; calls arrive strictly in cell order.
-class LeakageSink {
- public:
-  virtual ~LeakageSink() = default;
-  virtual void begin(const LeakageSpec& /*spec*/) {}
-  virtual void cell(const LeakageCellResult& result) = 0;
-  virtual void end() {}
-};
+/// Consumer of cell results (contract in util/sink.hpp); the tee fans one
+/// stream out to several formats (--json/--csv).
+using LeakageSink = util::Sink<LeakageSpec, LeakageCellResult>;
+using LeakageCollectSink = util::CollectSink<LeakageSpec, LeakageCellResult>;
+using LeakageTeeSink = util::TeeSink<LeakageSpec, LeakageCellResult>;
 
 /// Human-readable aligned table, one row per cell.
-class LeakageTableSink : public LeakageSink {
+class LeakageTableSink
+    : public util::StreamSink<LeakageSpec, LeakageCellResult> {
  public:
-  explicit LeakageTableSink(std::ostream& out) : out_(out) {}
+  using StreamSink::StreamSink;
   void begin(const LeakageSpec& spec) override;
   void cell(const LeakageCellResult& result) override;
-
- private:
-  std::ostream& out_;
 };
 
 /// One JSON object per cell per line at %.17g (golden-pinnable).
-class LeakageJsonlSink : public LeakageSink {
+class LeakageJsonlSink
+    : public util::StreamSink<LeakageSpec, LeakageCellResult> {
  public:
-  explicit LeakageJsonlSink(std::ostream& out) : out_(out) {}
+  using StreamSink::StreamSink;
   void cell(const LeakageCellResult& result) override;
-
- private:
-  std::ostream& out_;
 };
 
 /// CSV with a header row — the spreadsheet twin of the JSONL sink.
-class LeakageCsvSink : public LeakageSink {
+class LeakageCsvSink : public util::StreamSink<LeakageSpec, LeakageCellResult> {
  public:
-  explicit LeakageCsvSink(std::ostream& out) : out_(out) {}
+  using StreamSink::StreamSink;
   void begin(const LeakageSpec& spec) override;
   void cell(const LeakageCellResult& result) override;
-
- private:
-  std::ostream& out_;
-};
-
-/// In-memory sink for tests and programmatic consumers.
-class LeakageCollectSink : public LeakageSink {
- public:
-  void cell(const LeakageCellResult& result) override {
-    results.push_back(result);
-  }
-  std::vector<LeakageCellResult> results;
-};
-
-/// Fan a result stream to several sinks (--json/--csv teeing).
-class LeakageTeeSink : public LeakageSink {
- public:
-  void add(LeakageSink* sink) { sinks_.push_back(sink); }
-  void begin(const LeakageSpec& spec) override {
-    for (auto* s : sinks_) s->begin(spec);
-  }
-  void cell(const LeakageCellResult& result) override {
-    for (auto* s : sinks_) s->cell(result);
-  }
-  void end() override {
-    for (auto* s : sinks_) s->end();
-  }
-
- private:
-  std::vector<LeakageSink*> sinks_;
 };
 
 struct LeakageSummary {

@@ -193,8 +193,8 @@ struct CapacityPoint {
   CellResult result;
 };
 
-/// Consumer of capacity-sweep points; calls arrive strictly in point order
-/// (same contract as core::ResultSink).
+/// Consumer of capacity-sweep points; same contract as util::Sink, with
+/// point() in place of cell().
 class CellSink {
  public:
   virtual ~CellSink() = default;

@@ -1,6 +1,5 @@
 #include "cell/validation.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 
@@ -192,15 +191,12 @@ CellValidationSummary CellValidationRunner::run(const CellValidationSpec& spec,
   const std::vector<CellValidationCell> cells =
       enumerate_validation_cells(spec);
 
-  const auto t0 = std::chrono::steady_clock::now();
-  sink.begin(spec);
-
   CellValidationSummary summary;
   summary.cells = cells.size();
   summary.threads = pool_ != nullptr ? pool_->thread_count() : 1;
 
-  util::ordered_parallel_map(
-      pool_, cells.size(),
+  summary.wall_s = util::stream_results(
+      pool_, cells.size(), spec, sink,
       [&](std::size_t index) {
         return run_cell_validation_cell(spec, cells[index]);
       },
@@ -209,13 +205,7 @@ CellValidationSummary CellValidationRunner::run(const CellValidationSpec& spec,
         for (const CellValidationCheck& c : result.checks) {
           if (!c.ok) ++summary.failed_checks;
         }
-        sink.cell(result);
       });
-  sink.end();
-
-  summary.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   return summary;
 }
 

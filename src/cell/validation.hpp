@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "util/sink.hpp"
 #include "wifi/dcf_model.hpp"
 #include "wifi/dcf_sim.hpp"
 
@@ -89,43 +90,27 @@ struct CellValidationCellResult {
   [[nodiscard]] bool passed() const;
 };
 
-/// Consumer of validation results; calls arrive strictly in cell order.
-class CellValidationSink {
- public:
-  virtual ~CellValidationSink() = default;
-  virtual void begin(const CellValidationSpec& /*spec*/) {}
-  virtual void cell(const CellValidationCellResult& result) = 0;
-  virtual void end() {}
-};
+/// Consumer of validation results (contract in util/sink.hpp).
+using CellValidationSink =
+    util::Sink<CellValidationSpec, CellValidationCellResult>;
+using CellValidationCollectSink =
+    util::CollectSink<CellValidationSpec, CellValidationCellResult>;
 
 /// Human-readable aligned table, one row per grid cell.
-class CellValidationTableSink : public CellValidationSink {
+class CellValidationTableSink
+    : public util::StreamSink<CellValidationSpec, CellValidationCellResult> {
  public:
-  explicit CellValidationTableSink(std::ostream& out) : out_(out) {}
+  using StreamSink::StreamSink;
   void begin(const CellValidationSpec& spec) override;
   void cell(const CellValidationCellResult& result) override;
-
- private:
-  std::ostream& out_;
 };
 
 /// One JSON object per cell per line at %.17g.
-class CellValidationJsonlSink : public CellValidationSink {
+class CellValidationJsonlSink
+    : public util::StreamSink<CellValidationSpec, CellValidationCellResult> {
  public:
-  explicit CellValidationJsonlSink(std::ostream& out) : out_(out) {}
+  using StreamSink::StreamSink;
   void cell(const CellValidationCellResult& result) override;
-
- private:
-  std::ostream& out_;
-};
-
-/// In-memory sink for tests and programmatic consumers.
-class CellValidationCollectSink : public CellValidationSink {
- public:
-  void cell(const CellValidationCellResult& result) override {
-    results.push_back(result);
-  }
-  std::vector<CellValidationCellResult> results;
 };
 
 struct CellValidationSummary {

@@ -1,6 +1,5 @@
 #include "core/sweep.hpp"
 
-#include <chrono>
 #include <stdexcept>
 #include <string>
 
@@ -272,9 +271,6 @@ SweepSummary SweepRunner::run(const SweepSpec& spec, ResultSink& sink) {
     core::validate(pipeline);
   }
 
-  const auto t0 = std::chrono::steady_clock::now();
-  sink.begin(spec);
-
   auto run_cell = [&](std::size_t index) {
     const SweepCell& cell = cells[index];
     ExperimentSpec es;
@@ -296,17 +292,12 @@ SweepSummary SweepRunner::run(const SweepSpec& spec, ResultSink& sink) {
     result.result = run_experiment(es, *workload, pool_);
     return result;
   };
-  util::ordered_parallel_map(pool_, cells.size(), run_cell,
-                             [&](const CellResult& r) { sink.cell(r); });
-  sink.end();
-
   SweepSummary summary;
+  summary.wall_s = util::stream_results(pool_, cells.size(), spec, sink,
+                                        run_cell, [](const CellResult&) {});
   summary.cells = cells.size();
   summary.workloads = cache_.size();
   summary.threads = pool_ != nullptr ? pool_->thread_count() : 1;
-  summary.wall_s = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
   return summary;
 }
 

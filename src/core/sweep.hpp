@@ -20,6 +20,7 @@
 
 #include "core/experiment.hpp"
 #include "util/once_map.hpp"
+#include "util/sink.hpp"
 
 namespace tv::util {
 class ThreadPool;
@@ -85,57 +86,38 @@ struct CellResult {
   ExperimentResult result;
 };
 
-/// Consumer of sweep results.  SweepRunner serializes the calls and makes
-/// them strictly in cell-index order, so implementations need no locking
-/// and their output is deterministic.
-class ResultSink {
- public:
-  virtual ~ResultSink() = default;
-  virtual void begin(const SweepSpec& /*spec*/) {}
-  virtual void cell(const CellResult& result) = 0;
-  virtual void end() {}
-};
+/// Consumer of sweep results (contract in util/sink.hpp).
+using ResultSink = util::Sink<SweepSpec, CellResult>;
+using CollectSink = util::CollectSink<SweepSpec, CellResult>;
 
 /// Human-readable aligned table.
-class TableSink : public ResultSink {
+class TableSink : public util::StreamSink<SweepSpec, CellResult> {
  public:
-  explicit TableSink(std::ostream& out) : out_(out) {}
+  using StreamSink::StreamSink;
   void begin(const SweepSpec& spec) override;
   void cell(const CellResult& result) override;
 
  private:
-  std::ostream& out_;
   bool quality_ = true;
 };
 
 /// One JSON object per cell per line, full statistics at %.17g so two runs
 /// can be compared byte for byte.
-class JsonlSink : public ResultSink {
+class JsonlSink : public util::StreamSink<SweepSpec, CellResult> {
  public:
-  explicit JsonlSink(std::ostream& out) : out_(out) {}
+  using StreamSink::StreamSink;
   void cell(const CellResult& result) override;
-
- private:
-  std::ostream& out_;
 };
 
 /// Spreadsheet-friendly CSV with a header row.
-class CsvSink : public ResultSink {
+class CsvSink : public util::StreamSink<SweepSpec, CellResult> {
  public:
-  explicit CsvSink(std::ostream& out) : out_(out) {}
+  using StreamSink::StreamSink;
   void begin(const SweepSpec& spec) override;
   void cell(const CellResult& result) override;
 
  private:
-  std::ostream& out_;
   bool stage_stats_ = false;
-};
-
-/// In-memory sink for programmatic consumers (benches, tests).
-class CollectSink : public ResultSink {
- public:
-  void cell(const CellResult& result) override { results.push_back(result); }
-  std::vector<CellResult> results;
 };
 
 /// Thread-safe build-once workload cache keyed by (motion, gop, frames,

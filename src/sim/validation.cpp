@@ -1,6 +1,5 @@
 #include "sim/validation.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 
@@ -425,16 +424,13 @@ ValidationSummary ValidationRunner::run(const ValidationSpec& spec,
     make_eavesdropper_spec(spec, cell).validate();
   }
 
-  const auto t0 = std::chrono::steady_clock::now();
-  sink.begin(spec);
-
   ValidationSummary summary;
   summary.cells = cells.size();
   summary.threads = pool_ != nullptr ? pool_->thread_count() : 1;
 
   // Traced runs execute serially so the event stream arrives in cell order.
-  util::ordered_parallel_map(
-      spec.trace == nullptr ? pool_ : nullptr, cells.size(),
+  summary.wall_s = util::stream_results(
+      spec.trace == nullptr ? pool_ : nullptr, cells.size(), spec, sink,
       [&](std::size_t index) {
         return run_validation_cell(spec, cells[index]);
       },
@@ -443,13 +439,7 @@ ValidationSummary ValidationRunner::run(const ValidationSpec& spec,
         for (const ValidationCheck& c : r.checks) {
           if (!c.ok) ++summary.failed_checks;
         }
-        sink.cell(r);
       });
-  sink.end();
-
-  summary.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   return summary;
 }
 

@@ -28,6 +28,7 @@
 #include "policy/policy.hpp"
 #include "sim/eavesdropper_sim.hpp"
 #include "sim/sender_sim.hpp"
+#include "util/sink.hpp"
 
 namespace tv::util {
 class ThreadPool;
@@ -145,45 +146,27 @@ struct ValidationCellResult {
   [[nodiscard]] bool passed() const;
 };
 
-/// Consumer of validation results; calls arrive strictly in cell order
-/// (same contract as core::ResultSink).
-class ValidationSink {
- public:
-  virtual ~ValidationSink() = default;
-  virtual void begin(const ValidationSpec& /*spec*/) {}
-  virtual void cell(const ValidationCellResult& result) = 0;
-  virtual void end() {}
-};
+/// Consumer of validation results (contract in util/sink.hpp).
+using ValidationSink = util::Sink<ValidationSpec, ValidationCellResult>;
+using ValidationCollectSink =
+    util::CollectSink<ValidationSpec, ValidationCellResult>;
 
 /// Human-readable aligned table, one row per cell.
-class ValidationTableSink : public ValidationSink {
+class ValidationTableSink
+    : public util::StreamSink<ValidationSpec, ValidationCellResult> {
  public:
-  explicit ValidationTableSink(std::ostream& out) : out_(out) {}
+  using StreamSink::StreamSink;
   void begin(const ValidationSpec& spec) override;
   void cell(const ValidationCellResult& result) override;
-
- private:
-  std::ostream& out_;
 };
 
 /// One JSON object per cell per line at %.17g, byte-comparable across runs
 /// and thread counts.
-class ValidationJsonlSink : public ValidationSink {
+class ValidationJsonlSink
+    : public util::StreamSink<ValidationSpec, ValidationCellResult> {
  public:
-  explicit ValidationJsonlSink(std::ostream& out) : out_(out) {}
+  using StreamSink::StreamSink;
   void cell(const ValidationCellResult& result) override;
-
- private:
-  std::ostream& out_;
-};
-
-/// In-memory sink for tests and programmatic consumers.
-class ValidationCollectSink : public ValidationSink {
- public:
-  void cell(const ValidationCellResult& result) override {
-    results.push_back(result);
-  }
-  std::vector<ValidationCellResult> results;
 };
 
 struct ValidationSummary {

@@ -150,4 +150,21 @@ void ordered_parallel_map(ThreadPool* pool, std::size_t n, Produce&& produce,
   }
 }
 
+/// The runners' side of the util::Sink contract: begin(spec), then each
+/// produce(i) result in index order (see ordered_parallel_map) through
+/// `tally` and into sink.cell(), then end().  Returns the wall seconds.
+template <typename Sink, typename Spec, typename Produce, typename Tally>
+double stream_results(ThreadPool* pool, std::size_t n, const Spec& spec,
+                      Sink& sink, Produce&& produce, Tally&& tally) {
+  const auto t0 = std::chrono::steady_clock::now();
+  sink.begin(spec);
+  ordered_parallel_map(pool, n, produce, [&](const auto& result) {
+    tally(result);
+    sink.cell(result);
+  });
+  sink.end();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 }  // namespace tv::util
