@@ -18,7 +18,7 @@
 #include "distortion/gop_model.hpp"
 #include "queueing/mg1.hpp"
 #include "queueing/mmpp_g1.hpp"
-#include "queueing/queue_sim.hpp"
+#include "sim/sender_sim.hpp"
 #include "util/thread_pool.hpp"
 #include "wifi/dcf_model.hpp"
 #include "wifi/dcf_sim.hpp"
@@ -56,15 +56,23 @@ int main(int argc, char** argv) {
   const std::vector<double> scales = {1.0, 2.0, 4.0, 5.5, 6.3};
   run_rows(pool_ptr, scales.size(), [&](std::size_t i) {
     const double scale = scales[i];
-    queueing::Mmpp2 mmpp{.r12 = 260.0, .r21 = 1.05,
-                         .lambda1 = 4400.0 * scale, .lambda2 = 40.0 * scale};
-    queueing::ServiceTimeModel svc{
-        {{0.35, 3.3e-3, 1.2e-4}, {0.65, 1.1e-3, 0.9e-4}},
-        queueing::BackoffModel{0.78, 420.0}};
-    const queueing::MmppG1Solver solver{mmpp, svc};
-    const auto sol = solver.solve();
-    const auto sim = queueing::simulate_queue(mmpp, svc, 2000000, 100000,
-                                              options.seed);
+    // Encrypted I-frame packets (T_e + T_t ~ 3.3 ms) and clear P-frame
+    // packets (T_t ~ 1.1 ms).
+    sim::SenderSimSpec spec;
+    spec.arrivals = {.r12 = 260.0, .r21 = 1.05, .lambda1 = 4400.0 * scale,
+                     .lambda2 = 40.0 * scale};
+    spec.service = {.p_i = 0.35, .q_i = 1.0, .q_p = 0.0,
+                    .enc_i_mean = 1.1e-3, .enc_i_stddev = 0.8e-4,
+                    .tx_i_mean = 2.2e-3, .tx_i_stddev = 0.9e-4,
+                    .tx_p_mean = 1.1e-3, .tx_p_stddev = 0.9e-4,
+                    .success_prob = 0.78, .backoff_rate = 420.0};
+    spec.events = 2000000;
+    spec.warmup = 100000;
+    spec.seed = options.seed;
+    const auto& mmpp = spec.arrivals;
+    const auto svc = queueing::ServiceTimeModel::from_parameters(spec.service);
+    const auto sol = queueing::MmppG1Solver{mmpp, svc}.solve();
+    const auto sim = sim::simulate_sender(spec);
     const auto pk = queueing::solve_mg1(mmpp.mean_rate(), svc.mean(),
                                         svc.moment2(), svc.moment3());
     char buf[160];

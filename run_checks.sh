@@ -30,7 +30,9 @@
 #     --quick --json under a hard timeout, and validates the emitted
 #     JSON against the tv-bench-hotpath-v1 schema (keys present, numbers
 #     finite; docs/benchmarks.md).  Values are machine-specific and are
-#     deliberately not asserted.
+#     deliberately not asserted.  It also runs bench_ablation_models
+#     --quick (solver vs. simulate_sender, DCF, distortion DP) under a
+#     hard timeout.
 #   * --cell-smoke runs the `cell` label (the multi-flow contention
 #     engine, docs/cell.md) plus the `thriftyvid cell --validate`
 #     cross-check grid and a 100-flow capacity cell, in both the plain
@@ -100,10 +102,12 @@ if [[ "${mode}" == "--bench-smoke" ]]; then
   # is the watchdog against a wedged measurement loop.
   echo "=== bench smoke: plain build ==="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DTHRIFTYVID_WERROR=ON
-  cmake --build build -j "${jobs}" --target bench_hotpath
+  cmake --build build -j "${jobs}" --target bench_hotpath bench_ablation_models
   out=build/bench_smoke_hotpath.json
   rm -f "${out}"
   timeout 300 ./build/bench/bench_hotpath --quick --json="${out}"
+  # The ablation bench is the one non-test driver of sim::simulate_sender.
+  timeout 120 ./build/bench/bench_ablation_models --quick --threads=2
 
   if ! command -v python3 >/dev/null 2>&1; then
     echo "=== bench smoke: python3 not installed; skipping JSON validation ==="

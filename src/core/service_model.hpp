@@ -8,7 +8,7 @@
 //
 //   * core::simulate_transfer (the packet-faithful transfer pipeline) draws
 //     all three stages from its single per-transfer RNG;
-//   * sim::simulate_sender (the event-driven 2-MMPP/G/1 validator) draws
+//   * sim::simulate_sender (the discrete-event 2-MMPP/G/1 validator) draws
 //     each stage from its own derived RNG stream.
 //
 // The draw functions take the RNG as a parameter precisely so both stream

@@ -25,10 +25,18 @@ double Mmpp2::mean_rate() const {
   return pi[0] * lambda1 + pi[1] * lambda2;
 }
 
+namespace {
+
+// NaN fails both, as do infinities.
+bool positive(double x) { return x > 0.0 && std::isfinite(x); }
+bool non_negative(double x) { return x >= 0.0 && std::isfinite(x); }
+
+}  // namespace
+
 void Mmpp2::validate() const {
-  if (r12 <= 0.0 || r21 <= 0.0 || lambda1 < 0.0 || lambda2 < 0.0 ||
-      (lambda1 == 0.0 && lambda2 == 0.0)) {
-    throw std::invalid_argument{"Mmpp2: rates must be positive"};
+  if (!positive(r12) || !positive(r21) || !non_negative(lambda1) ||
+      !non_negative(lambda2) || (lambda1 == 0.0 && lambda2 == 0.0)) {
+    throw std::invalid_argument{"Mmpp2: rates must be positive and finite"};
   }
 }
 
@@ -77,7 +85,9 @@ void MmppN::validate() const {
   }
   double total_rate = 0.0;
   for (double r : rates) {
-    if (r < 0.0) throw std::invalid_argument{"MmppN: negative rate"};
+    if (!non_negative(r)) {
+      throw std::invalid_argument{"MmppN: rates must be finite and >= 0"};
+    }
     total_rate += r;
   }
   if (total_rate <= 0.0) {
@@ -86,58 +96,16 @@ void MmppN::validate() const {
   for (std::size_t i = 0; i < states(); ++i) {
     double row = 0.0;
     for (std::size_t j = 0; j < states(); ++j) {
-      if (i != j && q(i, j) < 0.0) {
-        throw std::invalid_argument{"MmppN: negative transition rate"};
+      if (i != j && !non_negative(q(i, j))) {
+        throw std::invalid_argument{
+            "MmppN: transition rates must be finite and >= 0"};
       }
       row += q(i, j);
     }
-    if (std::abs(row) > 1e-9) {
+    if (!(std::abs(row) <= 1e-9)) {
       throw std::invalid_argument{"MmppN: generator rows must sum to zero"};
     }
   }
-}
-
-std::vector<MmppArrival> simulate_mmpp(const MmppN& mmpp, double horizon,
-                                       util::Rng& rng) {
-  mmpp.validate();
-  const std::size_t n = mmpp.states();
-  // Start from the stationary distribution.
-  const util::Vector pi = mmpp.stationary();
-  std::size_t state = n - 1;
-  {
-    double u = rng.uniform();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (u < pi[i]) {
-        state = i;
-        break;
-      }
-      u -= pi[i];
-    }
-  }
-  std::vector<MmppArrival> arrivals;
-  double now = 0.0;
-  while (now < horizon) {
-    const double leave = -mmpp.q(state, state);
-    const double total = mmpp.rates[state] + leave;
-    if (total <= 0.0) break;  // absorbing silent state.
-    now += rng.exponential(total);
-    if (now >= horizon) break;
-    if (rng.uniform() < mmpp.rates[state] / total) {
-      arrivals.push_back({now, static_cast<int>(state) + 1});
-    } else {
-      // Jump to a neighbour proportionally to the transition rates.
-      double u = rng.uniform() * leave;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == state) continue;
-        if (u < mmpp.q(state, j)) {
-          state = j;
-          break;
-        }
-        u -= mmpp.q(state, j);
-      }
-    }
-  }
-  return arrivals;
 }
 
 Mmpp2 estimate_mmpp(const std::vector<LabelledArrival>& trace) {

@@ -64,12 +64,6 @@ struct MmppN {
   void validate() const;
 };
 
-/// Sample an n-state MMPP arrival sequence on [0, horizon); the returned
-/// state labels are 1-based to match MmppArrival's convention.
-[[nodiscard]] std::vector<MmppArrival> simulate_mmpp(const MmppN& mmpp,
-                                                     double horizon,
-                                                     util::Rng& rng);
-
 /// Method-of-moments estimator used by the calibration step of Fig. 1:
 /// given packet arrival timestamps labelled by frame type, recover the
 /// 2-MMPP parameters.  State-1 sojourns are the I-frame packet bursts;

@@ -21,7 +21,7 @@
 //
 // Degenerating the MMPP to Poisson reproduces Pollaczek-Khinchine exactly;
 // the test suite pins this and cross-validates modulated cases against the
-// discrete-event simulator in queue_sim.hpp.
+// discrete-event sender simulator in sim/sender_sim.hpp.
 #pragma once
 
 #include "queueing/mmpp.hpp"

@@ -160,20 +160,4 @@ util::Matrix ServiceTimeModel::matrix_mgf(const util::Matrix& a) const {
   return mix * backoff_factor;
 }
 
-double ServiceTimeModel::sample(util::Rng& rng) const {
-  // Pick a mixture component.
-  double u = rng.uniform();
-  const GaussianComponent* chosen = &components_.back();
-  for (const auto& c : components_) {
-    if (u < c.weight) {
-      chosen = &c;
-      break;
-    }
-    u -= c.weight;
-  }
-  double x = rng.gaussian(chosen->mean, chosen->stddev);
-  if (x < 0.0) x = 0.0;  // physical times cannot be negative.
-  return x + backoff_.sample(rng);
-}
-
 }  // namespace tv::queueing

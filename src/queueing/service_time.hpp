@@ -117,9 +117,6 @@ class ServiceTimeModel {
   /// the backoff factor needs eig(A) < lambda_b, always true here.
   [[nodiscard]] util::Matrix matrix_mgf(const util::Matrix& a) const;
 
-  /// Draw one service time (Gaussians truncated at 0).
-  [[nodiscard]] double sample(util::Rng& rng) const;
-
  private:
   std::vector<GaussianComponent> components_;
   BackoffModel backoff_;

@@ -1,4 +1,4 @@
-// Event-driven simulation of the paper's sender (Sections 4.2.1-4.2.3).
+// Discrete-event simulation of the paper's sender (Sections 4.2.1-4.2.3).
 //
 // Independent ground truth for the analytic 2-MMPP/G/1 machinery: unlike
 // queueing::ServiceTimeModel — which folds encryption and transmission into
@@ -7,15 +7,18 @@
 // paper describes the sender:
 //
 //   * the modulating chain switches between the I-burst and P-drain states
-//     (rates r12/r21) as explicit events, cancelling and rescheduling the
-//     tentative next arrival on every phase change;
+//     (rates r12/r21); the next switch and the next arrival are competing
+//     exponential clocks, and a switch redraws the pending arrival at the
+//     new state's rate (exact, by memorylessness);
 //   * each arriving packet draws its frame class (I w.p. p_i), whether the
 //     policy encrypts it (q_i / q_p), an encryption time T_e (eq. 15, only
 //     when encrypted), a MAC backoff T_b (eqs. 6-7: a geometric number of
 //     Exp(lambda_b) collision waits, drawn exactly as 0 w.p. p_s else
 //     Exp(p_s lambda_b)), and a transmission time T_t (eq. 16);
-//   * the server is a FIFO single server; waiting time is measured from
-//     arrival to service start.
+//   * the server is a FIFO single server, so no event heap is needed: each
+//     packet starts service at max(arrival, previous departure), and its
+//     wait is measured from arrival to that start.  One pass over the
+//     arrivals in order is the whole simulation.
 //
 // Every stage draws from its own RNG stream (util::derive_seed), so no
 // stage's consumption pattern can alias another's.  Waiting times of

@@ -134,6 +134,11 @@ cli_case(simulate_events_bad_format_keeps_trace STDERR
               --format=csv
          KEEP keep.jsonl keep.txt)
 cli_case(advise_bad_objective STDERR ARGS advise --objective=pwoer)
+# A NaN rate must be rejected up front as an invalid MMPP, not surface
+# later as a solver failure.
+cli_case(simulate_events_nan_rate STDERR
+         ARGS simulate --events=100 --batches=10 --warmup=10 --eaves-reps=5
+              --lambda1s=nan)
 
 if(failed)
   message(FATAL_ERROR "CLI golden mismatch:${failed}; regenerate with "

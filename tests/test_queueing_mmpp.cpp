@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace tv::queueing {
 namespace {
@@ -41,6 +42,20 @@ TEST(Mmpp2, ValidationRejectsNonsense) {
       (Mmpp2{.r12 = 1.0, .r21 = 1.0, .lambda1 = 0.0, .lambda2 = 0.0}
            .validate()),
       std::invalid_argument);
+}
+
+TEST(Mmpp2, ValidationRejectsNonFiniteRates) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {nan, inf}) {
+    const Mmpp2 ok{.r12 = 5.0, .r21 = 2.0, .lambda1 = 400.0, .lambda2 = 50.0};
+    for (double Mmpp2::*field : {&Mmpp2::r12, &Mmpp2::r21, &Mmpp2::lambda1,
+                                 &Mmpp2::lambda2}) {
+      Mmpp2 m = ok;
+      m.*field = bad;
+      EXPECT_THROW(m.validate(), std::invalid_argument) << bad;
+    }
+  }
 }
 
 TEST(SimulateMmpp, ArrivalCountMatchesMeanRate) {

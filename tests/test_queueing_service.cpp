@@ -9,6 +9,7 @@
 #include <string>
 
 #include "backoff_law.hpp"
+#include "core/service_model.hpp"
 #include "util/rng.hpp"
 
 namespace tv::queueing {
@@ -126,15 +127,43 @@ TEST(ServiceTimeModel, MeanIsMixturePlusBackoff) {
               1e-15);
 }
 
+// The mixture's moments must be those of the law the simulators sample:
+// the class and encrypt-or-not coins, then T_e, T_b and T_t drawn
+// separately through core::ServiceModel, as sim::simulate_sender does.
 TEST(ServiceTimeModel, MomentsMatchMonteCarlo) {
-  const auto m = example_model();
+  ServiceParameters p;
+  p.p_i = 0.25;
+  p.q_i = 1.0;
+  p.q_p = 0.5;
+  p.enc_i_mean = 2e-3;
+  p.enc_i_stddev = 1.5e-4;
+  p.enc_p_mean = 0.5e-3;
+  p.enc_p_stddev = 0.5e-4;
+  p.tx_i_mean = 1e-3;
+  p.tx_i_stddev = 1e-4;
+  p.tx_p_mean = 1e-3;
+  p.tx_p_stddev = 1e-4;
+  p.success_prob = 0.8;
+  p.backoff_rate = 400.0;
+  const auto m = ServiceTimeModel::from_parameters(p);
+  const core::ServiceModel stages{p.success_prob, p.backoff_rate};
   util::Rng rng{21};
   double m1 = 0.0;
   double m2 = 0.0;
   double m3 = 0.0;
   constexpr int kN = 500000;
   for (int i = 0; i < kN; ++i) {
-    const double x = m.sample(rng);
+    const bool is_i = rng.bernoulli(p.p_i);
+    double x = 0.0;
+    if (rng.bernoulli(is_i ? p.q_i : p.q_p)) {
+      x += core::ServiceModel::draw_encryption(
+          rng, is_i ? p.enc_i_mean : p.enc_p_mean,
+          is_i ? p.enc_i_stddev : p.enc_p_stddev);
+    }
+    x += stages.draw_backoff(rng);
+    x += core::ServiceModel::draw_transmission(
+        rng, is_i ? p.tx_i_mean : p.tx_p_mean,
+        is_i ? p.tx_i_stddev : p.tx_p_stddev);
     m1 += x;
     m2 += x * x;
     m3 += x * x * x;
@@ -206,14 +235,6 @@ TEST(ServiceTimeModel, ValidatesInputs) {
   ServiceParameters p;
   p.q_i = 1.4;
   EXPECT_THROW(ServiceTimeModel::from_parameters(p), std::invalid_argument);
-}
-
-TEST(ServiceTimeModel, SamplesAreNonNegative) {
-  const auto m = example_model();
-  util::Rng rng{5};
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_GE(m.sample(rng), 0.0);
-  }
 }
 
 }  // namespace
