@@ -90,6 +90,11 @@ cli_case(sweep_table ARGS sweep ${sweep})
 cli_case(sweep_jsonl ARGS sweep ${sweep} --format=jsonl)
 cli_case(sweep_csv ARGS sweep ${sweep} --format=csv)
 cli_case(sweep_stage_stats ARGS sweep ${sweep} --stage-stats)
+# Quality on over a lossy channel, so receiver GOPs are damaged and the
+# PSNR/MOS columns come from a real decode of partial frames.
+cli_case(sweep_quality_lossy ARGS sweep --threads=2 --motions=low,high
+         --frames=30 --gops=10 --reps=3 --policies=none,I,P,all
+         --algs=AES256,3DES --quality=on --loss=0.02 --burst=3 --format=jsonl)
 
 set(cell --threads=2 --flows=1,2 --frames=16 --gops=8 --reps=2 --quality=off)
 cli_case(cell_table ARGS cell ${cell})

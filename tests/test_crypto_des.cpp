@@ -108,6 +108,39 @@ TEST(TripleDes, DiffersFromSingleDesWithDistinctKeys) {
   EXPECT_NE(t, s);
 }
 
+TEST(TripleDes, PinnedBlockAndOfbKeystreamWithThreeKeys) {
+  // NIST SP 800-67's three-key example: K1 | K2 | K3 with
+  // "The qufc" -> A826FD8CE53B855F.
+  const std::array<std::uint8_t, 24> key = {
+      0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF,
+      0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF, 0x01,
+      0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF, 0x01, 0x23};
+  const TripleDes tdes{key};
+  const std::array<std::uint8_t, 8> pt = {'T', 'h', 'e', ' ',
+                                          'q', 'u', 'f', 'c'};
+  const std::array<std::uint8_t, 8> expected = {0xA8, 0x26, 0xFD, 0x8C,
+                                                0xE5, 0x3B, 0x85, 0x5F};
+  std::array<std::uint8_t, 8> ct{};
+  tdes.encrypt_block(pt, ct);
+  EXPECT_EQ(ct, expected);
+
+  // 4 KiB of OFB keystream, pinned by its FNV-1a 64 digest and the
+  // feedback register it leaves behind.
+  std::array<std::uint8_t, 8> feedback = {0xF6, 0x9F, 0x24, 0x45,
+                                          0xDF, 0x4F, 0x9B, 0x17};
+  std::vector<std::uint8_t> keystream(4096);
+  tdes.ofb_keystream(feedback, keystream, keystream.size() / 8);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : keystream) {
+    digest ^= b;
+    digest *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(digest, 0x642ECB12284D7348ULL);
+  const std::array<std::uint8_t, 8> last = {0xBD, 0xC5, 0x65, 0x25,
+                                            0x68, 0x9C, 0x8A, 0xD2};
+  EXPECT_EQ(feedback, last);
+}
+
 TEST(DesFamily, RejectsBadSizes) {
   std::vector<std::uint8_t> seven(7, 0);
   EXPECT_THROW(Des{seven}, std::invalid_argument);
