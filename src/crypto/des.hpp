@@ -1,8 +1,11 @@
 // ANSI X3.92 DES and 3DES-EDE (Triple DES).
 //
-// The paper's third cipher option.  Like the AES implementation this is a
-// clear-over-clever reference implementation validated against published
-// test vectors; OFB mode only ever calls the forward transform.
+// The paper's third cipher option, validated against published test
+// vectors.  The rounds are table-driven: S-boxes fused with P into eight
+// 64-entry words, and IP/FP as byte-sliced 8x256 lookups, all built at
+// compile time from the standard's tables in des.cpp.  The key schedule
+// stays bit-by-bit (it runs once per key).  OFB mode only ever calls the
+// forward transform.
 #pragma once
 
 #include <array>
