@@ -10,7 +10,6 @@
 #include "energy/energy_model.hpp"
 #include "util/format.hpp"
 #include "util/thread_pool.hpp"
-#include "video/quality.hpp"
 #include "wifi/gilbert_elliott.hpp"
 
 namespace tv::cell {
@@ -274,19 +273,18 @@ CellResult run_cell(const CellSpec& spec, core::WorkloadCache& cache,
       out.energy_j.add(energy.total_j());
 
       if (spec.evaluate_quality) {
-        const auto rx_frames =
-            net::reassemble(packets, transfer.receiver_delivered, frame_count,
-                            cipher.get(), flow_iv);
-        const video::FrameSequence rx = decoder.decode_stream(
-            w.stream.width, w.stream.height, rx_frames);
-        out.receiver_psnr_db.add(video::sequence_psnr(w.clip, rx));
-
-        const auto ev_frames =
-            net::reassemble(packets, transfer.eavesdropper_captured,
-                            frame_count, nullptr, flow_iv);
-        const video::FrameSequence ev = decoder.decode_stream(
-            w.stream.width, w.stream.height, ev_frames);
-        out.eavesdropper_psnr_db.add(video::sequence_psnr(w.clip, ev));
+        out.receiver_psnr_db.add(
+            core::score_received(
+                w, decoder,
+                net::reassemble(packets, transfer.receiver_delivered,
+                                frame_count, cipher.get(), flow_iv))
+                .psnr_db);
+        out.eavesdropper_psnr_db.add(
+            core::score_received(
+                w, decoder,
+                net::reassemble(packets, transfer.eavesdropper_captured,
+                                frame_count, nullptr, flow_iv))
+                .psnr_db);
       }
     }
   };

@@ -71,9 +71,11 @@ Workload build_workload(video::MotionLevel motion, int gop_size, int frames,
     }
     const video::FrameSequence lossless =
         decoder.decode_stream(w.stream.width, w.stream.height, intact);
+    w.frame_mse.reserve(w.clip.size());
     double mse = 0.0;
     for (std::size_t i = 0; i < w.clip.size(); ++i) {
-      mse += video::luma_mse(w.clip[i], lossless[i]);
+      w.frame_mse.push_back(video::luma_mse(w.clip[i], lossless[i]));
+      mse += w.frame_mse.back();
     }
     w.base_mse = mse / static_cast<double>(w.clip.size());
   }
@@ -95,6 +97,61 @@ Workload build_workload(video::MotionLevel motion, int gop_size, int frames,
   w.inter = distortion::DistanceDistortion::fit(
       distortion::measure_substitution_distortion(w.clip, max_distance), 5);
   return w;
+}
+
+QualityScore score_received(
+    const Workload& workload, const video::Decoder& decoder,
+    const std::vector<video::ReceivedFrameData>& frames) {
+  const std::size_t n = workload.clip.size();
+  if (workload.frame_mse.size() != n) {
+    throw std::invalid_argument{"score_received: workload has no frame_mse"};
+  }
+  if (frames.size() != n || n == 0 || workload.stream.frames.size() != n) {
+    throw std::invalid_argument{"score_received: frame count mismatch"};
+  }
+  // Mirrors decode_stream: frame 0 decodes against no reference, every
+  // later frame against the previous output.  `lossless` says whether that
+  // previous output equals the lossless decode (vacuously so before frame
+  // 0, whose lossless decode had no reference either); `current` holds it
+  // only when it does not, or once it has been rebuilt.  `restart` is the
+  // last frame of the lossless run that decodes to lossless from its own
+  // bytes alone: an I-frame, or frame 0.
+  bool lossless = true;
+  std::size_t restart = 0;
+  video::Frame current;
+  double mse_sum = 0.0;
+  double mos_sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const video::ReceivedFrameData& received = frames[i];
+    const video::EncodedFrame& sent = workload.stream.frames[i];
+    const bool intact =
+        std::find(received.byte_ok.begin(), received.byte_ok.end(), false) ==
+            received.byte_ok.end() &&
+        received.data == sent.data;
+    double mse = 0.0;
+    if (intact && (lossless || sent.is_i)) {
+      mse = workload.frame_mse[i];
+      if (sent.is_i || i == 0) restart = i;
+      lossless = true;
+    } else {
+      if (lossless && i > 0) {
+        // Rebuild lossless[i - 1]: the restart frame needs no reference,
+        // and every frame after it up to i - 1 arrived intact.
+        current = decoder.decode_frame(frames[restart], nullptr).frame;
+        for (std::size_t k = restart + 1; k < i; ++k) {
+          current = decoder.decode_frame(frames[k], &current).frame;
+        }
+      }
+      current = decoder.decode_frame(received, i == 0 ? nullptr : &current)
+                    .frame;
+      mse = video::luma_mse(workload.clip[i], current);
+      lossless = false;
+    }
+    mse_sum += mse;
+    mos_sum += video::mos_from_psnr(video::psnr_from_mse(mse));
+  }
+  return {video::psnr_from_mse(mse_sum / static_cast<double>(n)),
+          mos_sum / static_cast<double>(n)};
 }
 
 ExperimentResult run_experiment(const ExperimentSpec& spec,
@@ -183,22 +240,20 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
 
     if (spec.evaluate_quality) {
       // Legitimate receiver: decrypts what it gets.
-      const auto rx_frames =
+      const QualityScore rx = score_received(
+          workload, decoder,
           net::reassemble(packets, transfer.receiver_delivered, frame_count,
-                          cipher.get(), flow_iv);
-      const video::FrameSequence rx = decoder.decode_stream(
-          workload.stream.width, workload.stream.height, rx_frames);
-      out.rx_psnr.add(video::sequence_psnr(workload.clip, rx));
-      out.rx_mos.add(video::sequence_mos(workload.clip, rx));
+                          cipher.get(), flow_iv));
+      out.rx_psnr.add(rx.psnr_db);
+      out.rx_mos.add(rx.mos);
 
       // Eavesdropper: overhears, cannot decrypt.
-      const auto ev_frames =
+      const QualityScore ev = score_received(
+          workload, decoder,
           net::reassemble(packets, transfer.eavesdropper_captured,
-                          frame_count, nullptr, flow_iv);
-      const video::FrameSequence ev = decoder.decode_stream(
-          workload.stream.width, workload.stream.height, ev_frames);
-      out.ev_psnr.add(video::sequence_psnr(workload.clip, ev));
-      out.ev_mos.add(video::sequence_mos(workload.clip, ev));
+                          frame_count, nullptr, flow_iv));
+      out.ev_psnr.add(ev.psnr_db);
+      out.ev_mos.add(ev.mos);
     }
     out.transfer = std::move(transfer);
   };

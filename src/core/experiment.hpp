@@ -41,6 +41,10 @@ struct Workload {
   util::Arena arena;                    ///< owns the packets' wire bytes.
   std::vector<net::VideoPacket> packets;  ///< plaintext packetization.
   double base_mse = 0.0;  ///< coding distortion of a lossless decode.
+  /// Per-frame luma MSE of the lossless decode against `clip`; base_mse is
+  /// their mean.  score_received reads a frame's value here instead of
+  /// decoding it when its decode is known to be lossless.
+  std::vector<double> frame_mse;
   double null_mse = 0.0;  ///< content MSE vs. a blank (gray) decode.
   distortion::DistanceDistortion inter;  ///< fitted D(d) for this content.
 };
@@ -51,6 +55,28 @@ struct Workload {
 [[nodiscard]] Workload build_workload(video::MotionLevel motion,
                                       int gop_size, int frames,
                                       std::uint64_t seed, double fps = 30.0);
+
+/// Quality of one node's view of a workload's stream.
+struct QualityScore {
+  double psnr_db = 0.0;  ///< video::sequence_psnr against the clip.
+  double mos = 0.0;      ///< video::sequence_mos against the clip.
+};
+
+/// Score what a node reassembled.  The result is bit-identical to
+/// decoding `frames` with decoder.decode_stream and taking
+/// video::sequence_psnr / video::sequence_mos against workload.clip, but a
+/// frame whose output is known to equal the lossless decode is not
+/// decoded: its MSE is workload.frame_mse[i].  That holds for a frame whose
+/// bytes all arrived and equal the encoded frame when it is an I-frame
+/// (every pixel is rewritten) or its reference is itself lossless.  The
+/// first damaged frame after such a run decodes against a reference rebuilt
+/// from the run's last I-frame; decoding then continues frame by frame
+/// until an intact I-frame resyncs.  Throws std::invalid_argument when
+/// workload.frame_mse does not cover the clip or `frames` is not one entry
+/// per clip frame.
+[[nodiscard]] QualityScore score_received(
+    const Workload& workload, const video::Decoder& decoder,
+    const std::vector<video::ReceivedFrameData>& frames);
 
 /// What a single experiment should measure.
 struct ExperimentSpec {
