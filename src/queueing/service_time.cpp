@@ -46,9 +46,14 @@ ServiceTimeModel::ServiceTimeModel(std::vector<GaussianComponent> components,
   if (components_.empty()) {
     throw std::invalid_argument{"ServiceTimeModel: no components"};
   }
+  // Negated comparisons so NaN is rejected too.
+  auto finite_non_negative = [](double x) {
+    return x >= 0.0 && std::isfinite(x);
+  };
   double total = 0.0;
   for (const auto& c : components_) {
-    if (c.weight < 0.0 || c.mean < 0.0 || c.stddev < 0.0) {
+    if (!(finite_non_negative(c.weight) && finite_non_negative(c.mean) &&
+          finite_non_negative(c.stddev))) {
       throw std::invalid_argument{"ServiceTimeModel: bad component"};
     }
     // The Gaussian terms model *minor* variations (eq. 15); a large sigma
@@ -63,15 +68,15 @@ ServiceTimeModel::ServiceTimeModel(std::vector<GaussianComponent> components,
     }
     total += c.weight;
   }
-  if (std::abs(total - 1.0) > 1e-9) {
+  if (!(std::abs(total - 1.0) <= 1e-9)) {
     throw std::invalid_argument{"ServiceTimeModel: weights must sum to 1"};
   }
 }
 
 ServiceTimeModel ServiceTimeModel::from_parameters(
     const ServiceParameters& p) {
-  if (p.p_i < 0.0 || p.p_i > 1.0 || p.q_i < 0.0 || p.q_i > 1.0 ||
-      p.q_p < 0.0 || p.q_p > 1.0) {
+  auto probability = [](double x) { return x >= 0.0 && x <= 1.0; };
+  if (!(probability(p.p_i) && probability(p.q_i) && probability(p.q_p))) {
     throw std::invalid_argument{"from_parameters: probabilities out of range"};
   }
   auto var_sum = [](double a, double b) { return std::sqrt(a * a + b * b); };

@@ -237,5 +237,42 @@ TEST(ServiceTimeModel, ValidatesInputs) {
   EXPECT_THROW(ServiceTimeModel::from_parameters(p), std::invalid_argument);
 }
 
+TEST(ServiceTimeModel, RejectsNonFiniteInputs) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const BackoffModel backoff{0.9, 1.0};
+  for (const double bad : {nan, inf}) {
+    EXPECT_THROW(ServiceTimeModel({{bad, 1e-3, 0.0}}, backoff),
+                 std::invalid_argument);
+    EXPECT_THROW(ServiceTimeModel({{1.0, bad, 0.0}}, backoff),
+                 std::invalid_argument);
+    EXPECT_THROW(ServiceTimeModel({{1.0, 1e-3, bad}}, backoff),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        ServiceTimeModel({{0.5, 1e-3, 0.0}, {bad, 1e-3, 0.0}}, backoff),
+        std::invalid_argument);
+  }
+
+  ServiceParameters p;
+  p.tx_i_mean = 1e-3;
+  p.tx_p_mean = 1e-3;
+  EXPECT_NO_THROW((void)ServiceTimeModel::from_parameters(p));
+  for (double ServiceParameters::*field :
+       {&ServiceParameters::p_i, &ServiceParameters::q_i,
+        &ServiceParameters::q_p, &ServiceParameters::tx_i_mean,
+        &ServiceParameters::tx_i_stddev, &ServiceParameters::tx_p_mean,
+        &ServiceParameters::tx_p_stddev}) {
+    ServiceParameters bad = p;
+    bad.*field = nan;
+    EXPECT_THROW((void)ServiceTimeModel::from_parameters(bad),
+                 std::invalid_argument);
+  }
+  // An encryption stage reaches the model only through an encrypted class.
+  p.q_i = 1.0;
+  p.enc_i_mean = nan;
+  EXPECT_THROW((void)ServiceTimeModel::from_parameters(p),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace tv::queueing
