@@ -154,16 +154,17 @@ TEST(SenderSim, RejectsInvalidSpecs) {
 }
 
 // NaN compares false against every bound, so each check must be phrased to
-// fail on it: a NaN arrival rate, or a NaN service mean that makes rho NaN.
+// fail on it: a NaN arrival rate, or a NaN service mean, which
+// ServiceTimeModel::from_parameters rejects before rho is formed.
 TEST(SenderSim, RejectsNonFiniteSpecs) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   SenderSimSpec nan_rate = modulated_spec();
   nan_rate.arrivals.lambda1 = nan;
   EXPECT_THROW(nan_rate.validate(), std::invalid_argument);
 
-  SenderSimSpec nan_rho = modulated_spec();
-  nan_rho.service.tx_p_mean = nan;
-  EXPECT_THROW(nan_rho.validate(), std::domain_error);
+  SenderSimSpec nan_mean = modulated_spec();
+  nan_mean.service.tx_p_mean = nan;
+  EXPECT_THROW(nan_mean.validate(), std::invalid_argument);
 }
 
 }  // namespace
