@@ -1,6 +1,7 @@
 // Hot-path micro-suite: the perf trajectory of the batched cipher API,
-// the AES-NI backend, the vectorized DCT, and the end-to-end transfer
-// pipeline — the numbers behind BENCH_hotpath.json (docs/benchmarks.md).
+// the AES-NI backend, the vectorized DCT, the end-to-end transfer
+// pipeline and the workload build — the numbers behind BENCH_hotpath.json
+// (docs/benchmarks.md).
 //
 // Unlike the figure benches this one measures *host* performance, so the
 // output is machine-specific by design: the committed BENCH_hotpath.json
@@ -19,12 +20,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <ctime>
 #include <new>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -36,7 +39,9 @@
 #include "net/packetizer.hpp"
 #include "util/cycle_clock.hpp"
 #include "video/dct.hpp"
+#include "video/scene.hpp"
 #include "util/arena.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -74,17 +79,33 @@ double seconds_since(clock_type::time_point t0) {
   return std::chrono::duration<double>(clock_type::now() - t0).count();
 }
 
+/// Best-of-N wall and process CPU time (all threads) of `body`, after one
+/// untimed warm-up pass; each minimum is taken on its own.
+struct WallCpu {
+  double wall_s = 0.0;
+  double cpu_s = 0.0;
+};
+
+template <typename F>
+WallCpu best_wall_cpu(F&& body, int reps) {
+  body();
+  WallCpu best{std::numeric_limits<double>::infinity(),
+               std::numeric_limits<double>::infinity()};
+  for (int r = 0; r < reps; ++r) {
+    const std::clock_t c0 = std::clock();
+    const auto t0 = clock_type::now();
+    body();
+    best.wall_s = std::min(best.wall_s, seconds_since(t0));
+    best.cpu_s = std::min(
+        best.cpu_s, static_cast<double>(std::clock() - c0) / CLOCKS_PER_SEC);
+  }
+  return best;
+}
+
 /// Best-of-N wall time of `body` (one untimed warm-up pass first).
 template <typename F>
 double best_seconds(F&& body, int reps) {
-  body();
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = clock_type::now();
-    body();
-    best = std::min(best, seconds_since(t0));
-  }
-  return best;
+  return best_wall_cpu(std::forward<F>(body), reps).wall_s;
 }
 
 /// One measured throughput point.
@@ -289,6 +310,48 @@ int main(int argc, char** argv) {
       " arena allocation(s)\n",
       arena.bytes_in_use(), arena.chunk_count(), arena.allocation_count());
 
+  // --- workload build ----------------------------------------------------
+  // core::build_workload end to end (render, encode, packetize,
+  // characterize, fit) on its own pool of hardware threads, and the serial
+  // render kernel alone.
+  struct BuildPoint {
+    const char* key;
+    tv::video::MotionLevel motion;
+    int gop;
+    int frames;
+    WallCpu time;
+  };
+  BuildPoint build_points[] = {
+      {"low_gop8_frames32", tv::video::MotionLevel::kLow, 8, 32, {}},
+      {"high_gop30_frames60", tv::video::MotionLevel::kHigh, 30, 60, {}},
+  };
+  for (BuildPoint& b : build_points) {
+    b.time = best_wall_cpu(
+        [&] {
+          const auto w = tv::core::build_workload(b.motion, b.gop, b.frames,
+                                                  options.seed);
+          g_sinkd = w.base_mse;
+        },
+        reps);
+    std::printf("build %-20s wall %.3f s, cpu %.3f s (%u threads)\n", b.key,
+                b.time.wall_s, b.time.cpu_s,
+                std::min(tv::util::ThreadPool::default_thread_count(),
+                         static_cast<unsigned>(b.frames)));
+  }
+  constexpr int kRenderFrames = 16;
+  const tv::video::SceneGenerator render_scene{
+      tv::video::SceneParameters::preset(tv::video::MotionLevel::kHigh),
+      options.seed};
+  const double render_s = best_seconds(
+      [&] {
+        const auto clip = render_scene.render_clip(kRenderFrames);
+        g_sink8 = g_sink8 ^ clip.back().y(7, 7);
+      },
+      reps);
+  const double render_frames_s = kRenderFrames / render_s;
+  std::printf("render: %.0f frames/s serial (high motion, CIF)\n",
+              render_frames_s);
+
   // --- speedups the acceptance gate reads -------------------------------
   const auto find_point = [&](std::string_view alg, std::string_view backend,
                               std::string_view path) -> const Point* {
@@ -356,6 +419,15 @@ int main(int argc, char** argv) {
     out << "  \"arena\": {\"payload_bytes\": " << arena.bytes_in_use()
         << ", \"chunks\": " << arena.chunk_count()
         << ", \"allocations\": " << arena.allocation_count() << "},\n";
+    out << "  \"build\": {\"threads\": "
+        << tv::util::ThreadPool::default_thread_count();
+    for (const BuildPoint& b : build_points) {
+      out << ", \"" << b.key << "\": {\"wall_s\": "
+          << json_number(b.time.wall_s)
+          << ", \"cpu_s\": " << json_number(b.time.cpu_s) << "}";
+    }
+    out << ", \"serial_render_frames_per_s\": "
+        << json_number(render_frames_s) << "},\n";
     out << "  \"speedups\": {\"aes128_batch_over_block\": "
         << json_number(batch_speedup)
         << ", \"aes128_aesni_over_block\": " << json_number(ni_speedup)

@@ -57,7 +57,8 @@
 # The sanitized pass builds with -fsanitize=address,undefined and
 # -fno-sanitize-recover=all, so any report aborts the run and fails the
 # script.  The TSan pass builds with -DTHRIFTYVID_TSAN=ON and runs the
-# thread pool / sweep / validation / flags suites (the code that actually
+# thread pool / sweep / validation / flags suites and the pooled workload
+# build (render, encode, substitution distortion: the code that actually
 # shares state across threads) — running every test under TSan would be
 # prohibitively slow.  All build trees are kept (build/, build-asan/,
 # build-tsan/, build-cov/) so incremental re-runs are fast.
@@ -175,6 +176,21 @@ arena = doc.get("arena", {})
 for key in ("payload_bytes", "chunks", "allocations"):
     if not isinstance(arena.get(key), int) or arena[key] <= 0:
         fail(f"arena.{key} missing or non-positive")
+# The workload build: best-of wall and CPU seconds of two builds, and the
+# serial render rate, all measured.
+build = doc.get("build", {})
+if not isinstance(build.get("threads"), int) or build["threads"] <= 0:
+    fail("build.threads missing or non-positive")
+for point in ("low_gop8_frames32", "high_gop30_frames60"):
+    for key in ("wall_s", "cpu_s"):
+        value = build.get(point, {}).get(key)
+        finite(value, f"build.{point}.{key}")
+        if value is None:
+            fail(f"build.{point}.{key} must be measured, got null")
+finite(build.get("serial_render_frames_per_s"),
+       "build.serial_render_frames_per_s")
+if build.get("serial_render_frames_per_s") is None:
+    fail("build.serial_render_frames_per_s must be measured, got null")
 for key in ("aes128_batch_over_block", "aes128_aesni_over_block"):
     if key not in doc.get("speedups", {}):
         fail(f"speedups.{key} missing")
@@ -481,7 +497,7 @@ if [[ "${mode}" != "--sanitize-only" ]]; then
   cmake --build build-tsan -j "${jobs}"
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${jobs}" \
-          -R 'ThreadPool|Sweep|WorkloadCache|OnceMap|ReferenceCache|Flags|Validation'
+          -R 'ThreadPool|Sweep|WorkloadCache|OnceMap|ReferenceCache|Flags|Validation|BuildWorkload|Scene|Encoder|DistanceDistortion'
 fi
 
 echo "=== all checks passed ==="

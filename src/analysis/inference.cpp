@@ -135,8 +135,9 @@ const ReferenceTerms& ReferenceCache::get(video::MotionLevel motion, int gop,
                                           double fps) {
   return terms_.get(
       Key{static_cast<int>(motion), gop, calibration_seed, fps}, [&] {
-        // Serial build (it must not wait on a pool its waiters occupy);
-        // the workload dies here, only its three content terms are kept.
+        // build_workload runs on a pool of its own, never on the one this
+        // key's waiters may occupy.  The workload dies here; only its
+        // three content terms are kept.
         const core::Workload reference = core::build_workload(
             motion, gop, 2 * gop, calibration_seed, fps);
         return ReferenceTerms{reference.base_mse, reference.null_mse,

@@ -289,11 +289,7 @@ CellResult run_cell(const CellSpec& spec, core::WorkloadCache& cache,
     }
   };
 
-  if (pool != nullptr && n > 1 && !instrumented) {
-    pool->parallel_for(n, run_flow);
-  } else {
-    for (std::size_t f = 0; f < n; ++f) run_flow(f);
-  }
+  util::for_each_index(instrumented ? nullptr : pool, n, run_flow);
 
   // Deterministic fold in flow order.
   CellResult result;

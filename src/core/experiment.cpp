@@ -53,41 +53,50 @@ Workload build_workload(video::MotionLevel motion, int gop_size, int frames,
     case video::MotionLevel::kHigh: w.codec.p_qstep = 24.0; break;
   }
 
+  const video::Encoder encoder{w.codec};
   const video::SceneGenerator scene{video::SceneParameters::preset(motion),
                                     seed};
-  w.clip = scene.render_clip(frames);
-
-  const video::Encoder encoder{w.codec};
-  w.stream = encoder.encode(w.clip);
+  // The build's own short-lived pool, never a caller's: a caller may be a
+  // pool worker whose siblings wait on this very build (util::OnceMap), and
+  // this pool's parallel_for helps only from its own queues.
+  util::ThreadPool pool{std::min(util::ThreadPool::default_thread_count(),
+                                 static_cast<unsigned>(frames))};
+  w.clip = scene.render_clip(frames, &pool);
+  w.stream = encoder.encode(w.clip, &pool);
   w.packets = net::packetize(w.stream, w.arena, net::kDefaultMtu, fps);
 
-  // Coding distortion floor: decode the intact stream and compare.
-  {
-    const video::Decoder decoder{w.codec};
-    std::vector<video::ReceivedFrameData> intact;
-    intact.reserve(w.stream.frames.size());
-    for (const auto& f : w.stream.frames) {
-      intact.push_back(video::ReceivedFrameData::intact(f.data));
+  // Coding distortion floor: decode the intact stream and compare, one GOP
+  // per task.  An intact I-frame decodes the same against any reference
+  // (it rewrites every pixel), so each GOP starts from none.  Alongside,
+  // the case-3 reference: content against the decoder's blank mid-gray
+  // output.  Both means then sum their terms in frame order.
+  const std::size_t n = w.clip.size();
+  const auto gop = static_cast<std::size_t>(gop_size);
+  const video::Decoder decoder{w.codec};
+  video::Frame gray(w.stream.width, w.stream.height);
+  gray.fill(128, 128, 128);
+  w.frame_mse.resize(n);
+  std::vector<double> null_mse(n);
+  util::for_each_index(&pool, (n + gop - 1) / gop, [&](std::size_t g) {
+    video::Frame lossless;
+    for (std::size_t i = g * gop; i < std::min(n, (g + 1) * gop); ++i) {
+      lossless = decoder
+                     .decode_frame(video::ReceivedFrameData::intact(
+                                       w.stream.frames[i].data),
+                                   i == g * gop ? nullptr : &lossless)
+                     .frame;
+      w.frame_mse[i] = video::luma_mse(w.clip[i], lossless);
+      null_mse[i] = video::luma_mse(w.clip[i], gray);
     }
-    const video::FrameSequence lossless =
-        decoder.decode_stream(w.stream.width, w.stream.height, intact);
-    w.frame_mse.reserve(w.clip.size());
-    double mse = 0.0;
-    for (std::size_t i = 0; i < w.clip.size(); ++i) {
-      w.frame_mse.push_back(video::luma_mse(w.clip[i], lossless[i]));
-      mse += w.frame_mse.back();
-    }
-    w.base_mse = mse / static_cast<double>(w.clip.size());
+  });
+  double base_sum = 0.0;
+  double null_sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    base_sum += w.frame_mse[i];
+    null_sum += null_mse[i];
   }
-
-  // Case-3 reference: content against the decoder's blank mid-gray output.
-  {
-    video::Frame gray(w.stream.width, w.stream.height);
-    gray.fill(128, 128, 128);
-    double mse = 0.0;
-    for (const auto& f : w.clip) mse += video::luma_mse(f, gray);
-    w.null_mse = mse / static_cast<double>(w.clip.size());
-  }
+  w.base_mse = base_sum / static_cast<double>(n);
+  w.null_mse = null_sum / static_cast<double>(n);
 
   // Fit the distance-distortion curve (Fig. 2 procedure) on this content,
   // out to a GOP's worth of frames so the saturation value reflects the
@@ -95,7 +104,9 @@ Workload build_workload(video::MotionLevel motion, int gop_size, int frames,
   const int max_distance =
       std::min<int>(gop_size, static_cast<int>(w.clip.size()) - 1);
   w.inter = distortion::DistanceDistortion::fit(
-      distortion::measure_substitution_distortion(w.clip, max_distance), 5);
+      distortion::measure_substitution_distortion(w.clip, max_distance,
+                                                  &pool),
+      5);
   return w;
 }
 
@@ -258,11 +269,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     out.transfer = std::move(transfer);
   };
 
-  if (pool != nullptr && reps.size() > 1 && !instrumented) {
-    pool->parallel_for(reps.size(), run_rep);
-  } else {
-    for (std::size_t i = 0; i < reps.size(); ++i) run_rep(i);
-  }
+  util::for_each_index(instrumented ? nullptr : pool, reps.size(), run_rep);
   if (spec.collect_stage_stats) result.stage_stats = collector.stats;
 
   // Deterministic fold in repetition order.

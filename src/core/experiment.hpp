@@ -52,6 +52,14 @@ struct Workload {
 /// Generate, encode, packetize and characterize a clip.  Deterministic in
 /// `seed`.  `frames` should be a multiple of the GOP size (Table 1 clips
 /// are 300 frames at 30 fps).
+///
+/// Runs on its own short-lived util::ThreadPool of min(hardware threads,
+/// frames) threads: one frame per render task, one GOP per encode and
+/// characterization-decode task, one distance per substitution-distortion
+/// task.  Every sum still runs in frame order, so the result is
+/// bit-identical to a serial build.  The pool is never a caller's, which
+/// makes the build safe inside util::OnceMap builders (WorkloadCache,
+/// analysis::ReferenceCache) whose waiters occupy the caller's pool.
 [[nodiscard]] Workload build_workload(video::MotionLevel motion,
                                       int gop_size, int frames,
                                       std::uint64_t seed, double fps = 30.0);

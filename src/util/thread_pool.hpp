@@ -120,6 +120,17 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// Run `body(i)` for every i in [0, n): on `pool` (ThreadPool::parallel_for)
+/// when it is non-null, else serially in index order on the calling thread.
+template <typename F>
+void for_each_index(ThreadPool* pool, std::size_t n, F&& body) {
+  if (pool != nullptr) {
+    pool->parallel_for(n, body);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+  }
+}
+
 /// Run `produce(i)` for every i in [0, n) — on `pool` when it is non-null
 /// and n > 1, else serially — and hand each result to `consume` strictly
 /// in index order, freeing it once consumed.  Results complete in any
@@ -143,11 +154,7 @@ void ordered_parallel_map(ThreadPool* pool, std::size_t n, Produce&& produce,
       ++next;
     }
   };
-  if (pool != nullptr && n > 1) {
-    pool->parallel_for(n, run_one);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) run_one(i);
-  }
+  for_each_index(pool, n, run_one);
 }
 
 /// The runners' side of the util::Sink contract: begin(spec), then each

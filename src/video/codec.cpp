@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
 
+#include "util/thread_pool.hpp"
 #include "video/bitstream.hpp"
 #include "video/dct.hpp"
 
@@ -200,6 +202,213 @@ QuantBlock quantize_difference(const Block8x8& source,
   return deadzone ? quantize_deadzone(coeffs, qstep) : quantize(coeffs, qstep);
 }
 
+// Encode `source` as frame `index` of the stream into `out`, and write the
+// encoder-side reconstruction into `next_recon`.  A P-frame predicts from
+// `recon`, the previous frame's reconstruction; an I-frame predicts from
+// flat mid-gray and never reads it.
+void encode_frame(const CodecConfig& config, const Frame& source,
+                  const Frame& recon, std::size_t index, EncodedFrame& out,
+                  Frame& next_recon) {
+  const int width = source.width();
+  const int height = source.height();
+  const int mb_cols = width / 16;
+  const int mb_rows = height / 16;
+  const bool is_i =
+      index % static_cast<std::size_t>(config.gop_size) == 0;
+  const double qstep = is_i ? config.i_qstep : config.p_qstep;
+
+  PlaneRef ry{&next_recon.y_plane(), width, height};
+  PlaneRef ru{&next_recon.u_plane(), width / 2, height / 2};
+  PlaneRef rv{&next_recon.v_plane(), width / 2, height / 2};
+
+  // Encode every macroblock row as an independent slice.
+  std::vector<std::vector<std::uint8_t>> slices;
+  slices.reserve(static_cast<std::size_t>(mb_rows));
+
+  for (int mb_y = 0; mb_y < mb_rows; ++mb_y) {
+    ByteWriter row;
+    int pending_skips = 0;
+
+    auto flush_skips = [&]() {
+      // Skip runs are coded as mode byte + varint(extra skips); patching
+      // varints in place is fiddly, so buffer the run and emit on flush.
+      if (pending_skips == 0) return;
+      row.put_u8(kModeSkipRun);
+      row.put_varint(static_cast<std::uint64_t>(pending_skips - 1));
+      pending_skips = 0;
+    };
+
+    for (int mb_x = 0; mb_x < mb_cols; ++mb_x) {
+      const MbGeometry g = mb_geometry(mb_x, mb_y);
+
+      if (is_i) {
+        // Intra MB: predict from flat mid-gray; code all six blocks.
+        Block8x8 flat{};
+        flat.fill(128.0);
+        for (int b = 0; b < 4; ++b) {
+          const Block8x8 src =
+              read_block(source.y_plane(), width, height, g.lx[b], g.ly[b]);
+          const QuantBlock q = quantize_difference(src, flat, qstep, false);
+          code_coefficients(row, q);
+          reconstruct_block(ry, g.lx[b], g.ly[b], flat, q, qstep, false);
+        }
+        const Block8x8 src_u = read_block(source.u_plane(), width / 2,
+                                          height / 2, g.cx, g.cy);
+        const QuantBlock qu = quantize_difference(src_u, flat, qstep, false);
+        code_coefficients(row, qu);
+        reconstruct_block(ru, g.cx, g.cy, flat, qu, qstep, false);
+        const Block8x8 src_v = read_block(source.v_plane(), width / 2,
+                                          height / 2, g.cx, g.cy);
+        const QuantBlock qv = quantize_difference(src_v, flat, qstep, false);
+        code_coefficients(row, qv);
+        reconstruct_block(rv, g.cx, g.cy, flat, qv, qstep, false);
+        continue;
+      }
+
+      // Inter MB: try the zero-motion skip first — if the zero-mv
+      // residual quantizes to nothing everywhere, the MB is a skip and no
+      // search is needed (this is what makes static content cheap).
+      int dx = 0;
+      int dy = 0;
+      {
+        bool zero_skippable = true;
+        for (int b = 0; b < 4 && zero_skippable; ++b) {
+          const Block8x8 pred =
+              read_block(recon.y_plane(), width, height, g.lx[b], g.ly[b]);
+          const Block8x8 src =
+              read_block(source.y_plane(), width, height, g.lx[b], g.ly[b]);
+          zero_skippable = all_zero(quantize_difference(src, pred, qstep, true));
+        }
+        if (zero_skippable) {
+          const Block8x8 pu = read_block(recon.u_plane(), width / 2,
+                                         height / 2, g.cx, g.cy);
+          const Block8x8 su = read_block(source.u_plane(), width / 2,
+                                         height / 2, g.cx, g.cy);
+          zero_skippable = all_zero(quantize_difference(su, pu, qstep, true));
+        }
+        if (zero_skippable) {
+          const Block8x8 pv = read_block(recon.v_plane(), width / 2,
+                                         height / 2, g.cx, g.cy);
+          const Block8x8 sv = read_block(source.v_plane(), width / 2,
+                                         height / 2, g.cx, g.cy);
+          zero_skippable = all_zero(quantize_difference(sv, pv, qstep, true));
+        }
+        if (!zero_skippable) {
+          const auto best = motion_search(source, recon, mb_x * 16,
+                                          mb_y * 16, config.search_range);
+          dx = best.first;
+          dy = best.second;
+        }
+      }
+
+      // Intra refresh: when even the best motion-compensated prediction
+      // is poor (new content), code the MB intra like an I-frame MB.
+      if (sad_16x16(source, recon, mb_x * 16, mb_y * 16, dx, dy) >
+          config.intra_refresh_sad * 256.0) {
+        flush_skips();
+        row.put_u8(kModeIntra);
+        Block8x8 flat{};
+        flat.fill(128.0);
+        for (int b = 0; b < 4; ++b) {
+          const Block8x8 src =
+              read_block(source.y_plane(), width, height, g.lx[b], g.ly[b]);
+          const QuantBlock q = quantize_difference(src, flat, qstep, false);
+          code_coefficients(row, q);
+          reconstruct_block(ry, g.lx[b], g.ly[b], flat, q, qstep, false);
+        }
+        const Block8x8 src_u = read_block(source.u_plane(), width / 2,
+                                          height / 2, g.cx, g.cy);
+        const QuantBlock qu = quantize_difference(src_u, flat, qstep, false);
+        code_coefficients(row, qu);
+        reconstruct_block(ru, g.cx, g.cy, flat, qu, qstep, false);
+        const Block8x8 src_v = read_block(source.v_plane(), width / 2,
+                                          height / 2, g.cx, g.cy);
+        const QuantBlock qv = quantize_difference(src_v, flat, qstep, false);
+        code_coefficients(row, qv);
+        reconstruct_block(rv, g.cx, g.cy, flat, qv, qstep, false);
+        continue;
+      }
+
+      Block8x8 pred_y[4];
+      QuantBlock qy[4];
+      for (int b = 0; b < 4; ++b) {
+        pred_y[b] = read_block(recon.y_plane(), width, height, g.lx[b] + dx,
+                               g.ly[b] + dy);
+        const Block8x8 src =
+            read_block(source.y_plane(), width, height, g.lx[b], g.ly[b]);
+        qy[b] = quantize_difference(src, pred_y[b], qstep, true);
+      }
+      const int cdx = dx / 2;
+      const int cdy = dy / 2;
+      const Block8x8 pred_u = read_block(recon.u_plane(), width / 2,
+                                         height / 2, g.cx + cdx, g.cy + cdy);
+      const Block8x8 src_u =
+          read_block(source.u_plane(), width / 2, height / 2, g.cx, g.cy);
+      const QuantBlock qu = quantize_difference(src_u, pred_u, qstep, true);
+      const Block8x8 pred_v = read_block(recon.v_plane(), width / 2,
+                                         height / 2, g.cx + cdx, g.cy + cdy);
+      const Block8x8 src_v =
+          read_block(source.v_plane(), width / 2, height / 2, g.cx, g.cy);
+      const QuantBlock qv = quantize_difference(src_v, pred_v, qstep, true);
+
+      const bool skippable = dx == 0 && dy == 0 && all_zero(qy[0]) &&
+                             all_zero(qy[1]) && all_zero(qy[2]) &&
+                             all_zero(qy[3]) && all_zero(qu) && all_zero(qv);
+      if (skippable) {
+        ++pending_skips;
+        for (int b = 0; b < 4; ++b) {
+          reconstruct_block(ry, g.lx[b], g.ly[b], pred_y[b], qy[b], qstep, true);
+        }
+        reconstruct_block(ru, g.cx, g.cy, pred_u, qu, qstep, true);
+        reconstruct_block(rv, g.cx, g.cy, pred_v, qv, qstep, true);
+        continue;
+      }
+
+      flush_skips();
+      row.put_u8(kModeInter);
+      row.put_signed(dx);
+      row.put_signed(dy);
+      std::uint8_t cbp = 0;
+      for (int b = 0; b < 4; ++b) {
+        if (!all_zero(qy[b])) cbp |= static_cast<std::uint8_t>(1U << b);
+      }
+      if (!all_zero(qu)) cbp |= 1U << 4;
+      if (!all_zero(qv)) cbp |= 1U << 5;
+      row.put_u8(cbp);
+      for (int b = 0; b < 4; ++b) {
+        if (cbp & (1U << b)) code_coefficients(row, qy[b]);
+        reconstruct_block(ry, g.lx[b], g.ly[b], pred_y[b], qy[b], qstep, true);
+      }
+      if (cbp & (1U << 4)) code_coefficients(row, qu);
+      reconstruct_block(ru, g.cx, g.cy, pred_u, qu, qstep, true);
+      if (cbp & (1U << 5)) code_coefficients(row, qv);
+      reconstruct_block(rv, g.cx, g.cy, pred_v, qv, qstep, true);
+    }
+    flush_skips();
+    slices.push_back(row.take());
+  }
+
+  // Assemble the frame: header (magic, type, index, dims, slice table)
+  // followed by the slices.
+  ByteWriter frame;
+  frame.put_u8(kMagic);
+  frame.put_u8(is_i ? kTypeI : kTypeP);
+  frame.put_u32(static_cast<std::uint32_t>(index));
+  frame.put_u16(static_cast<std::uint16_t>(width));
+  frame.put_u16(static_cast<std::uint16_t>(height));
+  frame.put_u16(static_cast<std::uint16_t>(mb_rows));
+  for (const auto& s : slices) {
+    frame.put_varint(s.size());
+  }
+  for (const auto& s : slices) {
+    for (std::uint8_t b : s) frame.put_u8(b);
+  }
+
+  out.index = static_cast<int>(index);
+  out.is_i = is_i;
+  out.data = frame.take();
+}
+
 }  // namespace
 
 std::size_t EncodedStream::total_bytes() const {
@@ -263,7 +472,8 @@ Encoder::Encoder(CodecConfig config) : config_(config) {
   }
 }
 
-EncodedStream Encoder::encode(const FrameSequence& clip) const {
+EncodedStream Encoder::encode(const FrameSequence& clip,
+                              util::ThreadPool* pool) const {
   if (clip.empty()) throw std::invalid_argument{"encode: empty clip"};
   const int width = clip.front().width();
   const int height = clip.front().height();
@@ -277,215 +487,24 @@ EncodedStream Encoder::encode(const FrameSequence& clip) const {
   stream.config = config_;
   stream.width = width;
   stream.height = height;
-  stream.frames.reserve(clip.size());
+  stream.frames.resize(clip.size());
 
-  const int mb_cols = width / 16;
-  const int mb_rows = height / 16;
-  Frame recon(width, height);  // encoder-side decoded reference.
-
-  for (std::size_t fi = 0; fi < clip.size(); ++fi) {
-    const Frame& source = clip[fi];
-    const bool is_i = (fi % static_cast<std::size_t>(config_.gop_size)) == 0;
-    const double qstep = is_i ? config_.i_qstep : config_.p_qstep;
+  // GOPs are independent: each opens with an I-frame, which never reads
+  // the reference, so one task encodes one GOP of the clip in place.
+  const auto gop = static_cast<std::size_t>(config_.gop_size);
+  util::for_each_index(pool, (clip.size() + gop - 1) / gop,
+                       [&](std::size_t g) {
+    // Encoder-side decoded reference, and the next one: encode_frame
+    // rewrites every sample of it, so the two buffers just swap.
+    Frame recon(width, height);
     Frame next_recon(width, height);
-
-    PlaneRef ry{&next_recon.y_plane(), width, height};
-    PlaneRef ru{&next_recon.u_plane(), width / 2, height / 2};
-    PlaneRef rv{&next_recon.v_plane(), width / 2, height / 2};
-
-    // Encode every macroblock row as an independent slice.
-    std::vector<std::vector<std::uint8_t>> slices;
-    slices.reserve(static_cast<std::size_t>(mb_rows));
-
-    for (int mb_y = 0; mb_y < mb_rows; ++mb_y) {
-      ByteWriter row;
-      int pending_skips = 0;
-      std::size_t skip_patch_pos = 0;  // unused when pending_skips == 0.
-      std::vector<std::uint8_t> row_bytes;
-
-      auto flush_skips = [&]() {
-        // Skip runs are coded as mode byte + varint(extra skips); patching
-        // varints in place is fiddly, so buffer the run and emit on flush.
-        if (pending_skips == 0) return;
-        row.put_u8(kModeSkipRun);
-        row.put_varint(static_cast<std::uint64_t>(pending_skips - 1));
-        pending_skips = 0;
-        (void)skip_patch_pos;
-      };
-
-      for (int mb_x = 0; mb_x < mb_cols; ++mb_x) {
-        const MbGeometry g = mb_geometry(mb_x, mb_y);
-
-        if (is_i) {
-          // Intra MB: predict from flat mid-gray; code all six blocks.
-          Block8x8 flat{};
-          flat.fill(128.0);
-          for (int b = 0; b < 4; ++b) {
-            const Block8x8 src =
-                read_block(source.y_plane(), width, height, g.lx[b], g.ly[b]);
-            const QuantBlock q = quantize_difference(src, flat, qstep, false);
-            code_coefficients(row, q);
-            reconstruct_block(ry, g.lx[b], g.ly[b], flat, q, qstep, false);
-          }
-          const Block8x8 src_u = read_block(source.u_plane(), width / 2,
-                                            height / 2, g.cx, g.cy);
-          const QuantBlock qu = quantize_difference(src_u, flat, qstep, false);
-          code_coefficients(row, qu);
-          reconstruct_block(ru, g.cx, g.cy, flat, qu, qstep, false);
-          const Block8x8 src_v = read_block(source.v_plane(), width / 2,
-                                            height / 2, g.cx, g.cy);
-          const QuantBlock qv = quantize_difference(src_v, flat, qstep, false);
-          code_coefficients(row, qv);
-          reconstruct_block(rv, g.cx, g.cy, flat, qv, qstep, false);
-          continue;
-        }
-
-        // Inter MB: try the zero-motion skip first — if the zero-mv
-        // residual quantizes to nothing everywhere, the MB is a skip and no
-        // search is needed (this is what makes static content cheap).
-        int dx = 0;
-        int dy = 0;
-        {
-          bool zero_skippable = true;
-          for (int b = 0; b < 4 && zero_skippable; ++b) {
-            const Block8x8 pred =
-                read_block(recon.y_plane(), width, height, g.lx[b], g.ly[b]);
-            const Block8x8 src =
-                read_block(source.y_plane(), width, height, g.lx[b], g.ly[b]);
-            zero_skippable = all_zero(quantize_difference(src, pred, qstep, true));
-          }
-          if (zero_skippable) {
-            const Block8x8 pu = read_block(recon.u_plane(), width / 2,
-                                           height / 2, g.cx, g.cy);
-            const Block8x8 su = read_block(source.u_plane(), width / 2,
-                                           height / 2, g.cx, g.cy);
-            zero_skippable = all_zero(quantize_difference(su, pu, qstep, true));
-          }
-          if (zero_skippable) {
-            const Block8x8 pv = read_block(recon.v_plane(), width / 2,
-                                           height / 2, g.cx, g.cy);
-            const Block8x8 sv = read_block(source.v_plane(), width / 2,
-                                           height / 2, g.cx, g.cy);
-            zero_skippable = all_zero(quantize_difference(sv, pv, qstep, true));
-          }
-          if (!zero_skippable) {
-            const auto best = motion_search(source, recon, mb_x * 16,
-                                            mb_y * 16, config_.search_range);
-            dx = best.first;
-            dy = best.second;
-          }
-        }
-
-        // Intra refresh: when even the best motion-compensated prediction
-        // is poor (new content), code the MB intra like an I-frame MB.
-        if (sad_16x16(source, recon, mb_x * 16, mb_y * 16, dx, dy) >
-            config_.intra_refresh_sad * 256.0) {
-          flush_skips();
-          row.put_u8(kModeIntra);
-          Block8x8 flat{};
-          flat.fill(128.0);
-          for (int b = 0; b < 4; ++b) {
-            const Block8x8 src =
-                read_block(source.y_plane(), width, height, g.lx[b], g.ly[b]);
-            const QuantBlock q = quantize_difference(src, flat, qstep, false);
-            code_coefficients(row, q);
-            reconstruct_block(ry, g.lx[b], g.ly[b], flat, q, qstep, false);
-          }
-          const Block8x8 src_u = read_block(source.u_plane(), width / 2,
-                                            height / 2, g.cx, g.cy);
-          const QuantBlock qu = quantize_difference(src_u, flat, qstep, false);
-          code_coefficients(row, qu);
-          reconstruct_block(ru, g.cx, g.cy, flat, qu, qstep, false);
-          const Block8x8 src_v = read_block(source.v_plane(), width / 2,
-                                            height / 2, g.cx, g.cy);
-          const QuantBlock qv = quantize_difference(src_v, flat, qstep, false);
-          code_coefficients(row, qv);
-          reconstruct_block(rv, g.cx, g.cy, flat, qv, qstep, false);
-          continue;
-        }
-
-        Block8x8 pred_y[4];
-        QuantBlock qy[4];
-        for (int b = 0; b < 4; ++b) {
-          pred_y[b] = read_block(recon.y_plane(), width, height, g.lx[b] + dx,
-                                 g.ly[b] + dy);
-          const Block8x8 src =
-              read_block(source.y_plane(), width, height, g.lx[b], g.ly[b]);
-          qy[b] = quantize_difference(src, pred_y[b], qstep, true);
-        }
-        const int cdx = dx / 2;
-        const int cdy = dy / 2;
-        const Block8x8 pred_u = read_block(recon.u_plane(), width / 2,
-                                           height / 2, g.cx + cdx, g.cy + cdy);
-        const Block8x8 src_u =
-            read_block(source.u_plane(), width / 2, height / 2, g.cx, g.cy);
-        const QuantBlock qu = quantize_difference(src_u, pred_u, qstep, true);
-        const Block8x8 pred_v = read_block(recon.v_plane(), width / 2,
-                                           height / 2, g.cx + cdx, g.cy + cdy);
-        const Block8x8 src_v =
-            read_block(source.v_plane(), width / 2, height / 2, g.cx, g.cy);
-        const QuantBlock qv = quantize_difference(src_v, pred_v, qstep, true);
-
-        const bool skippable = dx == 0 && dy == 0 && all_zero(qy[0]) &&
-                               all_zero(qy[1]) && all_zero(qy[2]) &&
-                               all_zero(qy[3]) && all_zero(qu) && all_zero(qv);
-        if (skippable) {
-          ++pending_skips;
-          for (int b = 0; b < 4; ++b) {
-            reconstruct_block(ry, g.lx[b], g.ly[b], pred_y[b], qy[b], qstep, true);
-          }
-          reconstruct_block(ru, g.cx, g.cy, pred_u, qu, qstep, true);
-          reconstruct_block(rv, g.cx, g.cy, pred_v, qv, qstep, true);
-          continue;
-        }
-
-        flush_skips();
-        row.put_u8(kModeInter);
-        row.put_signed(dx);
-        row.put_signed(dy);
-        std::uint8_t cbp = 0;
-        for (int b = 0; b < 4; ++b) {
-          if (!all_zero(qy[b])) cbp |= static_cast<std::uint8_t>(1U << b);
-        }
-        if (!all_zero(qu)) cbp |= 1U << 4;
-        if (!all_zero(qv)) cbp |= 1U << 5;
-        row.put_u8(cbp);
-        for (int b = 0; b < 4; ++b) {
-          if (cbp & (1U << b)) code_coefficients(row, qy[b]);
-          reconstruct_block(ry, g.lx[b], g.ly[b], pred_y[b], qy[b], qstep, true);
-        }
-        if (cbp & (1U << 4)) code_coefficients(row, qu);
-        reconstruct_block(ru, g.cx, g.cy, pred_u, qu, qstep, true);
-        if (cbp & (1U << 5)) code_coefficients(row, qv);
-        reconstruct_block(rv, g.cx, g.cy, pred_v, qv, qstep, true);
-      }
-      flush_skips();
-      slices.push_back(row.take());
+    const std::size_t end = std::min(clip.size(), (g + 1) * gop);
+    for (std::size_t fi = g * gop; fi < end; ++fi) {
+      encode_frame(config_, clip[fi], recon, fi, stream.frames[fi],
+                   next_recon);
+      std::swap(recon, next_recon);
     }
-
-    // Assemble the frame: header (magic, type, index, dims, slice table)
-    // followed by the slices.
-    ByteWriter frame;
-    frame.put_u8(kMagic);
-    frame.put_u8(is_i ? kTypeI : kTypeP);
-    frame.put_u32(static_cast<std::uint32_t>(fi));
-    frame.put_u16(static_cast<std::uint16_t>(width));
-    frame.put_u16(static_cast<std::uint16_t>(height));
-    frame.put_u16(static_cast<std::uint16_t>(mb_rows));
-    for (const auto& s : slices) {
-      frame.put_varint(s.size());
-    }
-    for (const auto& s : slices) {
-      for (std::uint8_t b : s) frame.put_u8(b);
-    }
-
-    EncodedFrame out;
-    out.index = static_cast<int>(fi);
-    out.is_i = is_i;
-    out.data = frame.take();
-    stream.frames.push_back(std::move(out));
-    recon = std::move(next_recon);
-  }
+  });
   return stream;
 }
 

@@ -21,6 +21,10 @@
 
 #include "video/frame.hpp"
 
+namespace tv::util {
+class ThreadPool;
+}
+
 namespace tv::video {
 
 /// Encoder tuning knobs.  Defaults give CIF I-frames of roughly 8-20 kB and
@@ -82,7 +86,11 @@ class Encoder {
   explicit Encoder(CodecConfig config);
 
   /// Encode a clip into an IPP...P stream.  Frames must share dimensions.
-  [[nodiscard]] EncodedStream encode(const FrameSequence& clip) const;
+  /// With a `pool`, one task encodes one GOP (each opens with an I-frame,
+  /// which never reads its predecessor); the stream is bit-identical to
+  /// the serial (nullptr) encode.
+  [[nodiscard]] EncodedStream encode(const FrameSequence& clip,
+                                     util::ThreadPool* pool = nullptr) const;
 
  private:
   CodecConfig config_;

@@ -31,14 +31,16 @@ double luma_mse(const Frame& a, const Frame& b) {
   if (a.width() != b.width() || a.height() != b.height()) {
     throw std::invalid_argument{"luma_mse: dimension mismatch"};
   }
+  // Integer sum: exact, and for planes under 2^37 samples equal to a double
+  // sum of the same terms (every partial sum stays below 2^53).
   const auto& ya = a.y_plane();
   const auto& yb = b.y_plane();
-  double acc = 0.0;
+  std::int64_t acc = 0;
   for (std::size_t i = 0; i < ya.size(); ++i) {
-    const double d = static_cast<double>(ya[i]) - static_cast<double>(yb[i]);
+    const int d = static_cast<int>(ya[i]) - static_cast<int>(yb[i]);
     acc += d * d;
   }
-  return acc / static_cast<double>(ya.size());
+  return static_cast<double>(acc) / static_cast<double>(ya.size());
 }
 
 double psnr_from_mse(double mse) {

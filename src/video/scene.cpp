@@ -5,6 +5,7 @@
 #include <string>
 
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tv::video {
 
@@ -23,29 +24,46 @@ double lattice_noise(std::int64_t ix, std::int64_t iy, std::uint64_t seed) {
 
 double smoothstep(double t) { return t * t * (3.0 - 2.0 * t); }
 
-// Bilinear value noise at continuous world coordinates.
-double value_noise(double x, double y, double scale, std::uint64_t seed) {
-  const double fx = x / scale;
-  const double fy = y / scale;
-  const auto ix = static_cast<std::int64_t>(std::floor(fx));
-  const auto iy = static_cast<std::int64_t>(std::floor(fy));
-  const double tx = smoothstep(fx - static_cast<double>(ix));
-  const double ty = smoothstep(fy - static_cast<double>(iy));
-  const double n00 = lattice_noise(ix, iy, seed);
-  const double n10 = lattice_noise(ix + 1, iy, seed);
-  const double n01 = lattice_noise(ix, iy + 1, seed);
-  const double n11 = lattice_noise(ix + 1, iy + 1, seed);
-  const double a = n00 + (n10 - n00) * tx;
-  const double b = n01 + (n11 - n01) * tx;
-  return a + (b - a) * ty;
-}
+// Bilinear value noise at continuous world coordinates, along one row:
+// y is fixed, so the lattice row and its weight are too, and the four
+// lattice corners change only when x crosses into a new cell.  Each at(x)
+// runs the arithmetic of a one-off evaluation at (x, y), so the value is
+// the same bit for bit whatever was evaluated before.
+class NoiseRow {
+ public:
+  NoiseRow(double y, double scale, std::uint64_t seed)
+      : scale_(scale), seed_(seed) {
+    const double fy = y / scale;
+    iy_ = static_cast<std::int64_t>(std::floor(fy));
+    ty_ = smoothstep(fy - static_cast<double>(iy_));
+  }
 
-// Two-octave fractal noise, mapped to [0, 255].
-double background_luma(double x, double y, double scale, std::uint64_t seed) {
-  const double coarse = value_noise(x, y, scale, seed);
-  const double fine = value_noise(x, y, scale / 4.0, seed ^ 0xabcdULL);
-  return 40.0 + 170.0 * (0.7 * coarse + 0.3 * fine);
-}
+  double at(double x) {
+    const double fx = x / scale_;
+    const auto ix = static_cast<std::int64_t>(std::floor(fx));
+    const double tx = smoothstep(fx - static_cast<double>(ix));
+    if (!cached_ || ix != ix_) {
+      cached_ = true;
+      ix_ = ix;
+      n00_ = lattice_noise(ix, iy_, seed_);
+      n10_ = lattice_noise(ix + 1, iy_, seed_);
+      n01_ = lattice_noise(ix, iy_ + 1, seed_);
+      n11_ = lattice_noise(ix + 1, iy_ + 1, seed_);
+    }
+    const double a = n00_ + (n10_ - n00_) * tx;
+    const double b = n01_ + (n11_ - n01_) * tx;
+    return a + (b - a) * ty_;
+  }
+
+ private:
+  double scale_;
+  std::uint64_t seed_;
+  std::int64_t iy_ = 0;
+  double ty_ = 0.0;
+  bool cached_ = false;
+  std::int64_t ix_ = 0;
+  double n00_ = 0.0, n10_ = 0.0, n01_ = 0.0, n11_ = 0.0;
+};
 
 std::uint8_t clamp_pixel(double v) {
   if (v < 0.0) return 0;
@@ -131,6 +149,14 @@ std::vector<SceneGenerator::Object> SceneGenerator::objects_for_scene(
 
 Frame SceneGenerator::render(int index) const {
   Frame frame(params_.width, params_.height);
+  render_into(index, frame);
+  return frame;
+}
+
+void SceneGenerator::render_into(int index, Frame& frame) const {
+  if (frame.width() != params_.width || frame.height() != params_.height) {
+    throw std::invalid_argument{"render_into: frame size differs from scene"};
+  }
   const std::uint64_t scene =
       params_.scene_cut_period > 0
           ? static_cast<std::uint64_t>(index / params_.scene_cut_period)
@@ -141,27 +167,56 @@ Frame SceneGenerator::render(int index) const {
   const double pan_x = params_.pan_speed * frame_in_scene;
   const double pan_y = 0.37 * params_.pan_speed * frame_in_scene;
 
-  const std::vector<Object> objects = objects_for_scene(scene);
+  // Each object's centre this frame.  Objects wrap around the frame so
+  // they never leave the picture.  A pixel more than radius + 1 away on
+  // either axis is outside the object, which skips the distance test.
+  struct Placed {
+    Object object;
+    double ox = 0.0;
+    double oy = 0.0;
+    double reach = 0.0;
+  };
+  std::vector<Placed> placed;
+  for (const Object& o : objects_for_scene(scene)) {
+    const double cx = o.x0 + o.vx * frame_in_scene;
+    const double cy = o.y0 + o.vy * frame_in_scene;
+    const double w = params_.width;
+    const double h = params_.height;
+    placed.push_back({o, cx - w * std::floor(cx / w),
+                      cy - h * std::floor(cy / h), o.radius + 1.0});
+  }
 
-  // Luma plane: background + objects + sensor noise.
+  // Luma plane: background + objects + sensor noise.  `row` holds the
+  // objects that reach the current row, in object order, with their
+  // texture noise along it.
+  struct RowObject {
+    const Placed* placed;
+    double dy;
+    NoiseRow texture;
+  };
+  std::vector<RowObject> row;
+  row.reserve(placed.size());
   for (int yy = 0; yy < params_.height; ++yy) {
+    NoiseRow coarse{yy + pan_y, params_.texture_scale, bg_seed};
+    NoiseRow fine{yy + pan_y, params_.texture_scale / 4.0,
+                  bg_seed ^ 0xabcdULL};
+    row.clear();
+    for (const Placed& p : placed) {
+      const double dy = yy - p.oy;
+      if (std::abs(dy) > p.reach) continue;
+      row.push_back({&p, dy, NoiseRow{dy + 100.0, 6.0, p.object.texture_seed}});
+    }
     for (int xx = 0; xx < params_.width; ++xx) {
-      double value = background_luma(xx + pan_x, yy + pan_y,
-                                     params_.texture_scale, bg_seed);
-      for (const Object& o : objects) {
-        const double cx = o.x0 + o.vx * frame_in_scene;
-        const double cy = o.y0 + o.vy * frame_in_scene;
-        // Objects wrap around the frame so they never leave the picture.
-        const double w = params_.width;
-        const double h = params_.height;
-        const double ox = cx - w * std::floor(cx / w);
-        const double oy = cy - h * std::floor(cy / h);
-        const double dx = xx - ox;
-        const double dy = yy - oy;
-        const double dist = std::sqrt(dx * dx + dy * dy);
+      // Two-octave fractal background, mapped to [0, 255].
+      double value = 40.0 + 170.0 * (0.7 * coarse.at(xx + pan_x) +
+                                     0.3 * fine.at(xx + pan_x));
+      for (RowObject& r : row) {
+        const Object& o = r.placed->object;
+        const double dx = xx - r.placed->ox;
+        if (std::abs(dx) > r.placed->reach) continue;
+        const double dist = std::sqrt(dx * dx + r.dy * r.dy);
         if (dist < o.radius) {
-          const double tex = value_noise(dx + 100.0, dy + 100.0, 6.0,
-                                         o.texture_seed);
+          const double tex = r.texture.at(dx + 100.0);
           const double object_value = o.luma + 40.0 * (tex - 0.5);
           // Soft 3-pixel rim: sub-pixel object motion then produces small,
           // quantizable residuals instead of hard-edge spikes.
@@ -181,40 +236,40 @@ Frame SceneGenerator::render(int index) const {
 
   // Chroma planes: smooth background tint + object colors.
   for (int yy = 0; yy < frame.chroma_height(); ++yy) {
+    const double wy = 2.0 * yy;
+    NoiseRow tint_b{wy + pan_y, params_.texture_scale * 3.0,
+                    bg_seed ^ 0xbeefULL};
+    NoiseRow tint_r{wy + pan_y, params_.texture_scale * 3.0,
+                    bg_seed ^ 0xfeedULL};
     for (int xx = 0; xx < frame.chroma_width(); ++xx) {
       const double wx = 2.0 * xx;
-      const double wy = 2.0 * yy;
-      double cb = 118.0 + 24.0 * value_noise(wx + pan_x, wy + pan_y,
-                                             params_.texture_scale * 3.0,
-                                             bg_seed ^ 0xbeefULL);
-      double cr = 118.0 + 24.0 * value_noise(wx + pan_x, wy + pan_y,
-                                             params_.texture_scale * 3.0,
-                                             bg_seed ^ 0xfeedULL);
-      for (const Object& o : objects) {
-        const double cx = o.x0 + o.vx * frame_in_scene;
-        const double cy = o.y0 + o.vy * frame_in_scene;
-        const double w = params_.width;
-        const double h = params_.height;
-        const double ox = cx - w * std::floor(cx / w);
-        const double oy = cy - h * std::floor(cy / h);
-        const double dx = wx - ox;
-        const double dy = wy - oy;
-        if (dx * dx + dy * dy < o.radius * o.radius) {
-          cb = o.cb;
-          cr = o.cr;
+      double cb = 118.0 + 24.0 * tint_b.at(wx + pan_x);
+      double cr = 118.0 + 24.0 * tint_r.at(wx + pan_x);
+      for (const Placed& p : placed) {
+        const double dx = wx - p.ox;
+        const double dy = wy - p.oy;
+        if (std::abs(dx) > p.reach || std::abs(dy) > p.reach) continue;
+        if (dx * dx + dy * dy < p.object.radius * p.object.radius) {
+          cb = p.object.cb;
+          cr = p.object.cr;
         }
       }
       frame.u(xx, yy) = clamp_pixel(cb);
       frame.v(xx, yy) = clamp_pixel(cr);
     }
   }
-  return frame;
 }
 
-FrameSequence SceneGenerator::render_clip(int count) const {
-  FrameSequence clip;
-  clip.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) clip.push_back(render(i));
+FrameSequence SceneGenerator::render_clip(int count,
+                                          util::ThreadPool* pool) const {
+  if (count < 0) throw std::invalid_argument{"render_clip: count < 0"};
+  // Every frame is allocated here, on the calling thread; the pool only
+  // fills them.
+  FrameSequence clip(static_cast<std::size_t>(count),
+                     Frame(params_.width, params_.height));
+  util::for_each_index(pool, clip.size(), [&](std::size_t i) {
+    render_into(static_cast<int>(i), clip[i]);
+  });
   return clip;
 }
 

@@ -15,6 +15,10 @@
 
 #include "video/frame.hpp"
 
+namespace tv::util {
+class ThreadPool;
+}
+
 namespace tv::video {
 
 /// Paper's three content classes (Section 4.3.2, Fig. 2).
@@ -50,8 +54,15 @@ class SceneGenerator {
   /// (params, seed, index), so frames can be generated in any order.
   [[nodiscard]] Frame render(int index) const;
 
-  /// Render frames [0, count).
-  [[nodiscard]] FrameSequence render_clip(int count) const;
+  /// Render frame `index` into `frame`, overwriting every sample.  `frame`
+  /// must have the scene's dimensions (std::invalid_argument otherwise).
+  void render_into(int index, Frame& frame) const;
+
+  /// Render frames [0, count).  With a `pool`, one task renders one frame;
+  /// the frames are still allocated on the calling thread, and the clip is
+  /// bit-identical to the serial (nullptr) render.
+  [[nodiscard]] FrameSequence render_clip(
+      int count, util::ThreadPool* pool = nullptr) const;
 
   [[nodiscard]] const SceneParameters& parameters() const { return params_; }
 

@@ -6,6 +6,7 @@
 
 #include "distortion/inter_gop.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "video/scene.hpp"
 
 namespace tv::distortion {
@@ -109,6 +110,23 @@ TEST(DistanceDistortion, MeasurementGrowsWithDistanceForMovingContent) {
   const auto samples = measure_substitution_distortion(clip, 8);
   ASSERT_EQ(samples.distances.size(), 8u);
   EXPECT_GT(samples.mse.back(), samples.mse.front());
+}
+
+TEST(DistanceDistortion, PooledMeasurementMatchesSerial) {
+  video::SceneParameters p =
+      video::SceneParameters::preset(video::MotionLevel::kHigh);
+  p.width = 96;
+  p.height = 64;
+  p.scene_cut_period = 7;
+  const auto clip = video::SceneGenerator{p, 5}.render_clip(19);
+  util::ThreadPool pool{4};
+  for (const int max_distance : {1, 6, 18}) {
+    const auto serial = measure_substitution_distortion(clip, max_distance);
+    const auto pooled =
+        measure_substitution_distortion(clip, max_distance, &pool);
+    EXPECT_EQ(pooled.distances, serial.distances);
+    EXPECT_EQ(pooled.mse, serial.mse) << "max_distance " << max_distance;
+  }
 }
 
 TEST(DistanceDistortion, FitInterpolatesMeasurements) {

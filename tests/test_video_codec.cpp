@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "util/thread_pool.hpp"
 #include "video/frame.hpp"
 #include "video/quality.hpp"
 #include "video/scene.hpp"
@@ -196,6 +197,36 @@ TEST(Codec, RejectsInvalidConfigs) {
   EXPECT_THROW(Encoder{CodecConfig{.i_qstep = -1.0}}, std::invalid_argument);
   const Encoder encoder{CodecConfig{}};
   EXPECT_THROW(encoder.encode({}), std::invalid_argument);
+}
+
+TEST(Encoder, PooledEncodeMatchesSerial) {
+  // GOP 1 (every frame an I-frame), a clip shorter than one GOP, and a
+  // partial last GOP, on content with cuts inside GOPs.
+  struct Case {
+    MotionLevel level;
+    int gop;
+    int frames;
+  };
+  const Case cases[] = {{MotionLevel::kMedium, 1, 5},
+                        {MotionLevel::kLow, 8, 5},
+                        {MotionLevel::kHigh, 4, 11}};
+  util::ThreadPool pool{4};
+  for (const Case& c : cases) {
+    CodecConfig config;
+    config.gop_size = c.gop;
+    const FrameSequence clip = test_clip(c.level, c.frames, 41);
+    const EncodedStream serial = Encoder{config}.encode(clip);
+    const EncodedStream pooled = Encoder{config}.encode(clip, &pool);
+    EXPECT_EQ(pooled.width, serial.width);
+    EXPECT_EQ(pooled.height, serial.height);
+    ASSERT_EQ(pooled.frames.size(), serial.frames.size());
+    for (std::size_t i = 0; i < serial.frames.size(); ++i) {
+      EXPECT_EQ(pooled.frames[i].index, serial.frames[i].index);
+      EXPECT_EQ(pooled.frames[i].is_i, serial.frames[i].is_i);
+      EXPECT_EQ(pooled.frames[i].data, serial.frames[i].data)
+          << "gop " << c.gop << " frame " << i;
+    }
+  }
 }
 
 }  // namespace

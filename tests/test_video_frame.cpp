@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "util/rng.hpp"
+
 namespace tv::video {
 namespace {
 
@@ -45,6 +47,33 @@ TEST(LumaMse, ConstantOffsetSquared) {
   a.fill(100, 128, 128);
   b.fill(110, 0, 255);  // chroma must not matter for luma MSE.
   EXPECT_DOUBLE_EQ(luma_mse(a, b), 100.0);
+}
+
+TEST(LumaMse, EqualsDoubleSumOnRandomFrames) {
+  // The integer kernel against the plain double sum it stands for.
+  const auto reference = [](const Frame& a, const Frame& b) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < a.y_plane().size(); ++i) {
+      const double d = static_cast<double>(a.y_plane()[i]) -
+                       static_cast<double>(b.y_plane()[i]);
+      acc += d * d;
+    }
+    return acc / static_cast<double>(a.y_plane().size());
+  };
+  util::Rng rng{20131209};
+  for (int trial = 0; trial < 8; ++trial) {
+    Frame a(kCifWidth, kCifHeight);
+    Frame b(kCifWidth, kCifHeight);
+    for (auto& v : a.y_plane()) v = static_cast<std::uint8_t>(rng());
+    for (auto& v : b.y_plane()) v = static_cast<std::uint8_t>(rng());
+    EXPECT_EQ(luma_mse(a, b), reference(a, b)) << "trial " << trial;
+  }
+  Frame black(kCifWidth, kCifHeight);
+  Frame white(kCifWidth, kCifHeight);
+  black.fill(0, 128, 128);
+  white.fill(255, 128, 128);
+  EXPECT_EQ(luma_mse(black, white), 255.0 * 255.0);
+  EXPECT_EQ(luma_mse(white, black), reference(white, black));
 }
 
 TEST(LumaMse, RejectsDimensionMismatch) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/thread_pool.hpp"
 #include "video/frame.hpp"
 #include "video/motion.hpp"
 
@@ -73,6 +74,46 @@ TEST(Scene, CustomDimensionsRespected) {
   const Frame f = g.render(0);
   EXPECT_EQ(f.width(), 64);
   EXPECT_EQ(f.height(), 48);
+}
+
+TEST(Scene, PooledRenderClipMatchesSerial) {
+  // Small frames with frequent cuts and fast objects (which wrap around
+  // the edges), plus a few full-size frames of every preset.
+  SceneParameters small = SceneParameters::preset(MotionLevel::kHigh);
+  small.width = 96;
+  small.height = 64;
+  small.scene_cut_period = 5;
+  util::ThreadPool pool{4};
+  const auto check = [&](const SceneGenerator& g, int frames) {
+    const FrameSequence serial = g.render_clip(frames);
+    const FrameSequence pooled = g.render_clip(frames, &pool);
+    ASSERT_EQ(pooled.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(pooled[i].y_plane(), serial[i].y_plane()) << "frame " << i;
+      EXPECT_EQ(pooled[i].u_plane(), serial[i].u_plane()) << "frame " << i;
+      EXPECT_EQ(pooled[i].v_plane(), serial[i].v_plane()) << "frame " << i;
+    }
+  };
+  check(SceneGenerator{small, 17}, 23);
+  for (auto level : {MotionLevel::kLow, MotionLevel::kMedium,
+                     MotionLevel::kHigh}) {
+    check(SceneGenerator{SceneParameters::preset(level), 3}, 6);
+  }
+  EXPECT_TRUE((SceneGenerator{small, 17}.render_clip(0, &pool).empty()));
+}
+
+TEST(Scene, RenderIntoOverwritesAndChecksSize) {
+  const SceneGenerator g{SceneParameters::preset(MotionLevel::kMedium), 8};
+  Frame frame(kCifWidth, kCifHeight);
+  frame.fill(7, 7, 7);
+  g.render_into(12, frame);
+  const Frame direct = g.render(12);
+  EXPECT_EQ(frame.y_plane(), direct.y_plane());
+  EXPECT_EQ(frame.u_plane(), direct.u_plane());
+  EXPECT_EQ(frame.v_plane(), direct.v_plane());
+  Frame wrong(64, 48);
+  EXPECT_THROW(g.render_into(0, wrong), std::invalid_argument);
+  EXPECT_THROW((void)g.render_clip(-1), std::invalid_argument);
 }
 
 TEST(MotionScore, ZeroForIdenticalFrames) {
